@@ -422,12 +422,14 @@ impl OnlineIlPolicy {
     }
 
     fn retrain_from_buffer(&mut self) {
-        for _ in 0..self.config.update_epochs {
-            for (x, label) in &self.buffer {
-                let _ = self.little_mlp.train_classification(x, label.little_idx);
-                let _ = self.big_mlp.train_classification(x, label.big_idx);
-            }
-        }
+        // The two networks share no state, so training each one through all
+        // epochs in turn applies the same updates as interleaving them.
+        let epochs = self.config.update_epochs;
+        let samples = self.buffer.iter().map(|(x, label)| (x.as_slice(), label));
+        self.little_mlp
+            .train_classification_epochs(samples.clone().map(|(x, l)| (x, l.little_idx)), epochs);
+        self.big_mlp
+            .train_classification_epochs(samples.map(|(x, l)| (x, l.big_idx)), epochs);
         self.buffer.clear();
         self.stats.policy_updates += 1;
         self.stats.buffer_bytes = 0;

@@ -10,6 +10,26 @@
 //! The same type serves as a regressor (linear output, squared loss) and as a
 //! classifier (softmax output, cross-entropy loss); the policy crates use the
 //! classifier mode to pick discrete frequency levels.
+//!
+//! # Layout and allocation contract
+//!
+//! Each layer stores its weights flat and row-major: `weights[o * inputs + i]`
+//! maps input `i` to output `o`.  Every pass runs over one caller-owned
+//! scratch buffer holding the input and each layer's activations back to back,
+//! followed (for training) by two back-propagation delta buffers as wide as
+//! the widest layer.  **An SGD step allocates nothing**:
+//! [`Mlp::train_classification_epochs`] allocates its scratch once per call
+//! and reuses it for every step, while [`Mlp::train_classification`],
+//! [`Mlp::train_regression`] and the prediction methods allocate one buffer
+//! per call.
+//!
+//! The per-sample arithmetic is that of the textbook nested-`Vec`
+//! implementation, operation for operation: each row's `b + Σ w·x` is summed
+//! left to right from `-0.0` like `Iterator::sum` (several rows are merely
+//! interleaved), the back-propagated delta is accumulated output by output,
+//! `grad = d·x + l2·w`, and the softmax is `(v − max).exp()` over
+//! `sum.max(1e-300)`.  Trained weights are therefore bit-identical to that
+//! implementation's, which the crate's equivalence tests keep as an oracle.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -55,26 +75,21 @@ impl Activation {
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Layer {
-    /// `weights[o][i]` maps input `i` to output `o`.
-    weights: Vec<Vec<f64>>,
+    inputs: usize,
+    /// Row-major: `weights[o * inputs + i]` maps input `i` to output `o`.
+    weights: Vec<f64>,
     biases: Vec<f64>,
 }
 
 impl Layer {
     fn new(inputs: usize, outputs: usize, rng: &mut ChaCha8Rng) -> Self {
         let scale = (2.0 / (inputs + outputs) as f64).sqrt();
-        let weights = (0..outputs)
-            .map(|_| (0..inputs).map(|_| rng.gen_range(-scale..scale)).collect())
-            .collect();
-        Self { weights, biases: vec![0.0; outputs] }
+        let weights = (0..outputs * inputs).map(|_| rng.gen_range(-scale..scale)).collect();
+        Self { inputs, weights, biases: vec![0.0; outputs] }
     }
 
-    fn forward(&self, input: &[f64]) -> Vec<f64> {
-        self.weights
-            .iter()
-            .zip(&self.biases)
-            .map(|(row, b)| b + row.iter().zip(input).map(|(w, x)| w * x).sum::<f64>())
-            .collect()
+    fn outputs(&self) -> usize {
+        self.biases.len()
     }
 }
 
@@ -196,10 +211,7 @@ impl Mlp {
     /// Total number of trainable parameters (weights and biases), for
     /// model-footprint accounting.
     pub fn param_count(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.weights.iter().map(Vec::len).sum::<usize>() + l.biases.len())
-            .sum()
+        self.layers.iter().map(|l| l.weights.len() + l.biases.len()).sum()
     }
 
     /// Raw network outputs (pre-softmax for classification use).
@@ -208,29 +220,17 @@ impl Mlp {
     ///
     /// Panics on input dimension mismatch.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        self.forward_trace(x).outputs.last().cloned().unwrap_or_default()
+        let mut acts = vec![0.0; self.activations_len()];
+        self.forward_into(x, &mut acts);
+        acts.drain(..acts.len() - self.output_dim);
+        acts
     }
 
     /// Softmax of the network outputs, usable as class probabilities.
     pub fn probabilities(&self, x: &[f64]) -> Vec<f64> {
-        softmax(&self.forward(x))
-    }
-
-    fn forward_trace(&self, x: &[f64]) -> ForwardTrace {
-        assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
-        let mut outputs: Vec<Vec<f64>> = Vec::with_capacity(self.layers.len() + 1);
-        outputs.push(x.to_vec());
-        for (idx, layer) in self.layers.iter().enumerate() {
-            let mut z = layer.forward(outputs.last().expect("at least the input is present"));
-            let is_last = idx + 1 == self.layers.len();
-            if !is_last {
-                for v in &mut z {
-                    *v = self.activation.apply(*v);
-                }
-            }
-            outputs.push(z);
-        }
-        ForwardTrace { outputs }
+        let mut probs = self.forward(x);
+        softmax_in_place(&mut probs);
+        probs
     }
 
     /// One SGD step toward the multi-output regression target `target` using
@@ -241,12 +241,13 @@ impl Mlp {
     /// Panics on input/target dimension mismatch.
     pub fn train_regression(&mut self, x: &[f64], target: &[f64]) -> f64 {
         assert_eq!(target.len(), self.output_dim, "target dimension mismatch");
-        let trace = self.forward_trace(x);
-        let prediction = trace.outputs.last().expect("forward produces outputs");
-        let delta: Vec<f64> = prediction.iter().zip(target).map(|(p, t)| p - t).collect();
-        let loss = delta.iter().map(|d| d * d).sum::<f64>() / delta.len() as f64;
-        self.backpropagate(&trace, delta);
-        loss
+        let mut scratch = self.scratch();
+        self.sgd_step(x, &mut scratch, |delta| {
+            for (d, t) in delta.iter_mut().zip(target) {
+                *d -= t;
+            }
+            delta.iter().map(|d| d * d).sum::<f64>() / delta.len() as f64
+        })
     }
 
     /// One SGD step of softmax cross-entropy toward the class `label`; returns the
@@ -256,65 +257,180 @@ impl Mlp {
     ///
     /// Panics if `label >= output_dim` or on input dimension mismatch.
     pub fn train_classification(&mut self, x: &[f64], label: usize) -> f64 {
+        let mut scratch = self.scratch();
+        self.classification_step(x, label, &mut scratch)
+    }
+
+    /// `epochs` passes of per-sample softmax cross-entropy SGD over
+    /// `samples`, each pass in iteration order — the same updates as calling
+    /// [`Mlp::train_classification`] on every sample of every pass, with one
+    /// scratch allocation for the whole call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a label is `>= output_dim` or on input dimension mismatch.
+    pub fn train_classification_epochs<'a, I>(&mut self, samples: I, epochs: usize)
+    where
+        I: IntoIterator<Item = (&'a [f64], usize)> + Clone,
+    {
+        let mut scratch = self.scratch();
+        for _ in 0..epochs {
+            for (x, label) in samples.clone() {
+                self.classification_step(x, label, &mut scratch);
+            }
+        }
+    }
+
+    fn classification_step(&mut self, x: &[f64], label: usize, scratch: &mut [f64]) -> f64 {
         assert!(label < self.output_dim, "label out of range");
-        let trace = self.forward_trace(x);
-        let logits = trace.outputs.last().expect("forward produces outputs");
-        let probs = softmax(logits);
-        let loss = -(probs[label].max(1e-12)).ln();
-        let mut delta = probs;
-        delta[label] -= 1.0;
-        self.backpropagate(&trace, delta);
+        self.sgd_step(x, scratch, |delta| {
+            softmax_in_place(delta);
+            let loss = -(delta[label].max(1e-12)).ln();
+            delta[label] -= 1.0;
+            loss
+        })
+    }
+
+    /// Length of the activation area: the input followed by every layer's
+    /// output.
+    fn activations_len(&self) -> usize {
+        self.input_dim + self.layers.iter().map(Layer::outputs).sum::<usize>()
+    }
+
+    /// Training scratch: the activation area, then two delta buffers as wide
+    /// as the widest layer.
+    fn scratch(&self) -> Vec<f64> {
+        let widest = self.layers.iter().map(Layer::outputs).max().unwrap_or(0);
+        vec![0.0; self.activations_len() + 2 * widest]
+    }
+
+    /// Writes `x` and then every layer's output (post-activation for hidden
+    /// layers, linear for the last) back to back into `acts`.
+    fn forward_into(&self, x: &[f64], acts: &mut [f64]) {
+        assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
+        acts[..x.len()].copy_from_slice(x);
+        let mut start = 0;
+        for (idx, layer) in self.layers.iter().enumerate() {
+            let (below, above) = acts.split_at_mut(start + layer.inputs);
+            let input = &below[start..];
+            let is_last = idx + 1 == self.layers.len();
+            let out = &mut above[..layer.outputs()];
+            dense(&layer.weights, &layer.biases, input, out);
+            if !is_last {
+                for z in out.iter_mut() {
+                    *z = self.activation.apply(*z);
+                }
+            }
+            start += layer.inputs;
+        }
+    }
+
+    /// One SGD step over `scratch` (see [`Mlp::scratch`]): runs the forward
+    /// pass, lets `output_error` turn a copy of the network outputs into the
+    /// output-layer error signal (dL/dz) in place and return the loss, then
+    /// back-propagates.  Returns that loss.
+    fn sgd_step(
+        &mut self,
+        x: &[f64],
+        scratch: &mut [f64],
+        output_error: impl FnOnce(&mut [f64]) -> f64,
+    ) -> f64 {
+        let (acts, deltas) = scratch.split_at_mut(self.activations_len());
+        self.forward_into(x, acts);
+        let (delta, next) = deltas.split_at_mut(deltas.len() / 2);
+        let out = &mut delta[..self.output_dim];
+        out.copy_from_slice(&acts[acts.len() - self.output_dim..]);
+        let loss = output_error(out);
+        self.backpropagate(acts, delta, next);
         loss
     }
 
-    /// Backpropagates the output-layer error signal `delta` (dL/dz for the last
-    /// layer's pre-activation) and applies one SGD update.
-    fn backpropagate(&mut self, trace: &ForwardTrace, mut delta: Vec<f64>) {
-        let lr = self.learning_rate;
-        for layer_idx in (0..self.layers.len()).rev() {
-            let input = &trace.outputs[layer_idx];
-            // Compute the delta to propagate before mutating this layer.
-            let mut next_delta = vec![0.0; input.len()];
-            {
-                let layer = &self.layers[layer_idx];
-                for (o, d) in delta.iter().enumerate() {
-                    for (i, nd) in next_delta.iter_mut().enumerate() {
-                        *nd += layer.weights[o][i] * d;
+    /// Backpropagates the output-layer error signal held in `delta` and
+    /// applies one SGD update; `next` is the second delta buffer.  The input
+    /// layer propagates no delta, since nothing below it consumes one.
+    fn backpropagate<'a>(
+        &mut self,
+        acts: &[f64],
+        mut delta: &'a mut [f64],
+        mut next: &'a mut [f64],
+    ) {
+        let (lr, l2, activation) = (self.learning_rate, self.l2, self.activation);
+        let mut end = acts.len() - self.output_dim;
+        for (layer_idx, layer) in self.layers.iter_mut().enumerate().rev() {
+            let start = end - layer.inputs;
+            let input = &acts[start..end];
+            let d = &delta[..layer.outputs()];
+            if layer_idx > 0 {
+                // Compute the delta to propagate before mutating this layer,
+                // then multiply by the activation derivative of the layer below.
+                let nd = &mut next[..layer.inputs];
+                nd.fill(0.0);
+                for (row, d) in layer.weights.chunks_exact(layer.inputs).zip(d) {
+                    for (nd, w) in nd.iter_mut().zip(row) {
+                        *nd += w * d;
                     }
                 }
-            }
-            // Multiply by the activation derivative of the layer below (if any).
-            if layer_idx > 0 {
-                for (nd, out) in next_delta.iter_mut().zip(&trace.outputs[layer_idx]) {
-                    *nd *= self.activation.derivative_from_output(*out);
+                for (nd, out) in nd.iter_mut().zip(input) {
+                    *nd *= activation.derivative_from_output(*out);
                 }
             }
-            let layer = &mut self.layers[layer_idx];
-            for (o, d) in delta.iter().enumerate() {
-                for (i, &inp) in input.iter().enumerate() {
-                    let grad = d * inp + self.l2 * layer.weights[o][i];
-                    layer.weights[o][i] -= lr * grad;
+            let rows = layer.weights.chunks_exact_mut(layer.inputs);
+            for ((row, b), d) in rows.zip(&mut layer.biases).zip(d) {
+                for (w, &inp) in row.iter_mut().zip(input) {
+                    let grad = d * inp + l2 * *w;
+                    *w -= lr * grad;
                 }
-                layer.biases[o] -= lr * d;
+                *b -= lr * d;
             }
-            delta = next_delta;
+            std::mem::swap(&mut delta, &mut next);
+            end = start;
         }
         self.updates += 1;
     }
 }
 
-#[derive(Debug)]
-struct ForwardTrace {
-    /// `outputs[0]` is the input vector, `outputs[i]` the post-activation output of
-    /// layer `i-1` (the last entry is pre-softmax / linear).
-    outputs: Vec<Vec<f64>>,
+/// `out[o] = biases[o] + Σ_i weights[o * inputs + i] · x[i]`.
+///
+/// Each row is summed left to right from `-0.0`, exactly as `Iterator::sum`
+/// does, so every output is bitwise `b + row.iter().zip(x).map(|(w, x)| w *
+/// x).sum()`.  Rows are summed four at a time, side by side, so that their
+/// independent addition chains overlap instead of running back to back.
+fn dense(weights: &[f64], biases: &[f64], x: &[f64], out: &mut [f64]) {
+    let inputs = x.len();
+    let blocks = weights.chunks_exact(inputs * 4);
+    let tail_rows = blocks.remainder();
+    let (head_out, tail_out) = out.split_at_mut(out.len() - tail_rows.len() / inputs);
+    let (head_b, tail_b) = biases.split_at(head_out.len());
+    for ((block, b), z) in blocks.zip(head_b.chunks_exact(4)).zip(head_out.chunks_exact_mut(4)) {
+        let (r0, rest) = block.split_at(inputs);
+        let (r1, rest) = rest.split_at(inputs);
+        let (r2, r3) = rest.split_at(inputs);
+        let mut acc = [-0.0; 4];
+        for ((((w0, w1), w2), w3), xi) in r0.iter().zip(r1).zip(r2).zip(r3).zip(x) {
+            acc[0] += w0 * xi;
+            acc[1] += w1 * xi;
+            acc[2] += w2 * xi;
+            acc[3] += w3 * xi;
+        }
+        for ((z, b), a) in z.iter_mut().zip(b).zip(acc) {
+            *z = b + a;
+        }
+    }
+    for ((row, b), z) in tail_rows.chunks_exact(inputs).zip(tail_b).zip(tail_out) {
+        *z = b + row.iter().zip(x).map(|(w, x)| w * x).sum::<f64>();
+    }
 }
 
-fn softmax(logits: &[f64]) -> Vec<f64> {
-    let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = logits.iter().map(|v| (v - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum.max(1e-300)).collect()
+/// Softmax in place: `(v - max).exp()`, normalised by the sum.
+fn softmax_in_place(values: &mut [f64]) {
+    let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    for v in values.iter_mut() {
+        *v = (*v - max).exp();
+    }
+    let sum: f64 = values.iter().sum();
+    for v in values.iter_mut() {
+        *v /= sum.max(1e-300);
+    }
 }
 
 impl OnlineRegressor for Mlp {
@@ -340,16 +456,14 @@ impl Classifier for Mlp {
         assert_eq!(xs.len(), labels.len(), "sample/label count mismatch");
         assert!(!xs.is_empty(), "cannot fit on an empty dataset");
         const EPOCHS: usize = 30;
-        for _ in 0..EPOCHS {
-            for (x, &label) in xs.iter().zip(labels) {
-                let _ = self.train_classification(x, label);
-            }
-        }
+        self.train_classification_epochs(
+            xs.iter().map(Vec::as_slice).zip(labels.iter().copied()),
+            EPOCHS,
+        );
     }
 
     fn predict_class(&self, x: &[f64]) -> usize {
-        let scores = self.forward(x);
-        argmax(&scores)
+        argmax(&self.forward(x))
     }
 
     fn scores(&self, x: &[f64]) -> Vec<f64> {
@@ -472,6 +586,39 @@ mod tests {
     }
 
     #[test]
+    fn dense_matches_sequential_row_sums_bitwise() {
+        // Signed zeros and a -0.0 bias expose any change of the summation's
+        // starting value; 7 rows cover a four-row block plus a 3-row tail.
+        let x = [0.0, -0.0, 1.5, -2.25, 1e-300];
+        let inputs = x.len();
+        let weights: Vec<f64> = (0..7 * inputs)
+            .map(|k| match k % 4 {
+                0 => -0.0,
+                1 => 0.0,
+                _ => (k as f64 * 0.37).sin(),
+            })
+            .collect();
+        let biases = [-0.0, 0.0, 1.0, -0.0, -3.5, 0.0, -0.0];
+        for rows in [1, 4, 7] {
+            let mut out = vec![f64::NAN; rows];
+            dense(&weights[..rows * inputs], &biases[..rows], &x, &mut out);
+            for (o, z) in out.iter().enumerate() {
+                let row = &weights[o * inputs..(o + 1) * inputs];
+                let expected = biases[o] + row.iter().zip(&x).map(|(w, x)| w * x).sum::<f64>();
+                assert_eq!(z.to_bits(), expected.to_bits(), "row {o} of {rows}");
+            }
+        }
+        // All-negative-zero products: the row sums are -0.0 only when summed
+        // from -0.0, and a -0.0 bias keeps that sign visible in the output.
+        let positive = [0.0, 1.5, 1e-300];
+        let mut out = [f64::NAN; 4];
+        dense(&[-0.0; 12], &[-0.0; 4], &positive, &mut out);
+        let expected = -0.0 + positive.iter().map(|x| -0.0 * x).sum::<f64>();
+        assert!(expected.is_sign_negative());
+        assert!(out.iter().all(|z| z.to_bits() == expected.to_bits()), "{out:?}");
+    }
+
+    #[test]
     fn argmax_handles_edges() {
         assert_eq!(argmax(&[]), 0);
         assert_eq!(argmax(&[1.0]), 0);
@@ -516,15 +663,16 @@ mod gradcheck_tests {
         // numerical gradient for a hidden-layer weight and an output-layer weight
         for (li, o, i) in [(0usize, 1usize, 0usize), (1usize, 0usize, 2usize)] {
             let eps = 1e-6;
+            let w = o * net.layers[li].inputs + i;
             let mut plus = net.clone();
-            plus.layers[li].weights[o][i] += eps;
+            plus.layers[li].weights[w] += eps;
             let mut minus = net.clone();
-            minus.layers[li].weights[o][i] -= eps;
+            minus.layers[li].weights[w] -= eps;
             let num_grad = (loss_of(&plus) - loss_of(&minus)) / (2.0 * eps);
             // analytic: apply one update with lr=1 and measure weight change = -grad
             let mut updated = net.clone();
             updated.train_classification(&x, label);
-            let ana_grad = net.layers[li].weights[o][i] - updated.layers[li].weights[o][i];
+            let ana_grad = net.layers[li].weights[w] - updated.layers[li].weights[w];
             println!("layer {li} w[{o}][{i}]: numerical {num_grad:.6} analytic {ana_grad:.6}");
             assert!((num_grad - ana_grad).abs() < 1e-4, "layer {li}: {num_grad} vs {ana_grad}");
         }

@@ -74,21 +74,21 @@ impl StandardScaler {
     /// Per-feature standard deviation (1.0 for features with no variance yet,
     /// so that transforming is always well defined).
     pub fn std(&self) -> Vec<f64> {
-        self.m2
-            .iter()
-            .map(|&m2| {
-                if self.count < 2.0 {
-                    1.0
-                } else {
-                    let var = m2 / (self.count - 1.0);
-                    if var < 1e-18 {
-                        1.0
-                    } else {
-                        var.sqrt()
-                    }
-                }
-            })
-            .collect()
+        self.m2.iter().map(|&m2| self.std_of(m2)).collect()
+    }
+
+    /// Standard deviation of one feature from its sum of squared deviations.
+    fn std_of(&self, m2: f64) -> f64 {
+        if self.count < 2.0 {
+            1.0
+        } else {
+            let var = m2 / (self.count - 1.0);
+            if var < 1e-18 {
+                1.0
+            } else {
+                var.sqrt()
+            }
+        }
     }
 
     /// Standardises a feature vector.
@@ -98,15 +98,21 @@ impl StandardScaler {
     /// Panics on dimension mismatch.
     pub fn transform(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.dim(), "feature dimension mismatch");
-        let std = self.std();
-        x.iter().enumerate().map(|(i, &v)| (v - self.mean[i]) / std[i]).collect()
+        x.iter()
+            .zip(&self.mean)
+            .zip(&self.m2)
+            .map(|((&v, mean), &m2)| (v - mean) / self.std_of(m2))
+            .collect()
     }
 
     /// Inverse of [`StandardScaler::transform`].
     pub fn inverse_transform(&self, z: &[f64]) -> Vec<f64> {
         assert_eq!(z.len(), self.dim(), "feature dimension mismatch");
-        let std = self.std();
-        z.iter().enumerate().map(|(i, &v)| v * std[i] + self.mean[i]).collect()
+        z.iter()
+            .zip(&self.mean)
+            .zip(&self.m2)
+            .map(|((&v, mean), &m2)| v * self.std_of(m2) + mean)
+            .collect()
     }
 }
 
@@ -145,6 +151,24 @@ mod tests {
         let scaler = StandardScaler::fitted(&samples);
         assert_eq!(scaler.std(), vec![1.0]);
         assert_eq!(scaler.transform(&[5.0]), vec![0.0]);
+    }
+
+    #[test]
+    fn transforms_match_the_std_vector_bitwise() {
+        let samples: Vec<Vec<f64>> =
+            (0..17).map(|i| vec![i as f64 * 0.37, 1e6 - (i * i) as f64, 4.0]).collect();
+        for n in [1, 2, samples.len()] {
+            let scaler = StandardScaler::fitted(&samples[..n]);
+            let (mean, std) = (scaler.mean(), scaler.std());
+            for x in [vec![3.3, 999_000.5, -4.0], vec![0.0, 0.0, 4.0]] {
+                let z = scaler.transform(&x);
+                let back = scaler.inverse_transform(&x);
+                for i in 0..x.len() {
+                    assert_eq!(z[i].to_bits(), ((x[i] - mean[i]) / std[i]).to_bits());
+                    assert_eq!(back[i].to_bits(), (x[i] * std[i] + mean[i]).to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,9 @@
 //! `--users N` and `--workers N` override the fleet size and the worker pool
 //! — the determinism gates run the same workload at `--workers 1/2/4` and
 //! byte-compare every artifact, and the calendar gate drains a 10⁴-user
-//! queueing fleet twice.
+//! queueing fleet twice.  An unknown flag, a missing or malformed value, or a
+//! flag combination the run cannot honour prints a usage error and exits
+//! with status 2.
 //!
 //! `--personalize` serves the online-IL fleet from a [`TieredModelStore`]
 //! instead of handing every user a private policy copy: users lease the
@@ -79,92 +81,123 @@ const QUEUE_DILATION: f64 = 3_600.0;
 /// Users the queueing arrivals are round-robined onto.
 const QUEUE_SLOTS: usize = 2;
 
-fn main() {
-    let mut virtual_clock = false;
-    let mut queueing = false;
-    let mut substrates_all = false;
-    let mut personalize = false;
-    let mut trace_out: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut prom_out: Option<String> = None;
-    let mut spans_out: Option<String> = None;
-    let mut bottleneck_out: Option<String> = None;
-    let mut obs_summary = false;
-    let mut users_override: Option<usize> = None;
-    let mut workers_override: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--virtual-clock" => virtual_clock = true,
-            "--queueing" => queueing = true,
-            "--personalize" => personalize = true,
-            "--users" => {
-                let value = args.next().expect("--users needs a count");
-                users_override =
-                    Some(value.parse().expect("--users needs a positive integer count"));
-            }
-            "--workers" => {
-                let value = args.next().expect("--workers needs a count");
-                workers_override =
-                    Some(value.parse().expect("--workers needs a positive integer count"));
-            }
-            "--substrates" => {
-                match args.next().expect("--substrates needs a value (all|cpu)").as_str() {
-                    "all" => substrates_all = true,
-                    "cpu" => substrates_all = false,
-                    other => panic!("unknown --substrates value {other:?} (try all or cpu)"),
-                }
-            }
-            "--trace-out" => {
-                trace_out = Some(args.next().expect("--trace-out needs a file path"));
-            }
-            "--metrics-out" => {
-                metrics_out = Some(args.next().expect("--metrics-out needs a file path"));
-            }
-            "--prom-out" => {
-                prom_out = Some(args.next().expect("--prom-out needs a file path"));
-            }
-            "--spans-out" => {
-                spans_out = Some(args.next().expect("--spans-out needs a file path"));
-            }
-            "--bottleneck-out" => {
-                bottleneck_out = Some(args.next().expect("--bottleneck-out needs a file path"));
-            }
-            "--obs-summary" => obs_summary = true,
-            other => panic!(
-                "unknown argument {other:?} (try --virtual-clock, --queueing, --personalize, \
-                 --users N, --workers N, --substrates all, --trace-out PATH, --metrics-out PATH, \
-                 --prom-out PATH, --spans-out PATH, --bottleneck-out PATH, --obs-summary)"
-            ),
+/// Command-line options; see the module docs.
+#[derive(Debug, Default, PartialEq)]
+struct Options {
+    virtual_clock: bool,
+    queueing: bool,
+    substrates_all: bool,
+    personalize: bool,
+    users: Option<usize>,
+    workers: Option<usize>,
+    trace_out: Option<String>,
+    metrics_out: Option<String>,
+    prom_out: Option<String>,
+    spans_out: Option<String>,
+    bottleneck_out: Option<String>,
+    obs_summary: bool,
+}
+
+const USAGE: &str = "usage: fleet_stress [--virtual-clock] [--queueing] [--personalize] \
+     [--users N] [--workers N] [--substrates all|cpu] [--trace-out PATH] [--metrics-out PATH] \
+     [--prom-out PATH] [--spans-out PATH] [--bottleneck-out PATH] [--obs-summary]";
+
+/// Parses the arguments after the program name, rejecting unknown flags,
+/// missing or malformed values and flag combinations the run cannot honour.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
+    fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
+        args.next()
+            .filter(|v| !v.starts_with("--"))
+            .ok_or_else(|| format!("{flag} needs a value"))
+    }
+    fn count(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<usize, String> {
+        let raw = value(args, flag)?;
+        match raw.parse() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!("{flag} needs a positive integer count, got {raw:?}")),
         }
     }
-    if spans_out.is_some() {
-        // Wall-clock spans are live profiling data whose timestamps depend on
-        // scheduler interleaving; only virtual-clock spans (derived from
-        // schedule-relative queue stamps) dump byte-identically across runs.
-        assert!(
-            virtual_clock,
-            "--spans-out needs --virtual-clock: wall-clock span timestamps are \
-             nondeterministic, only virtual-time spans dump reproducibly"
-        );
+
+    let mut o = Options::default();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--virtual-clock" => o.virtual_clock = true,
+            "--queueing" => o.queueing = true,
+            "--personalize" => o.personalize = true,
+            "--obs-summary" => o.obs_summary = true,
+            "--users" => o.users = Some(count(&mut args, &arg)?),
+            "--workers" => o.workers = Some(count(&mut args, &arg)?),
+            "--substrates" => {
+                o.substrates_all = match value(&mut args, &arg)?.as_str() {
+                    "all" => true,
+                    "cpu" => false,
+                    other => {
+                        return Err(format!(
+                            "unknown --substrates value {other:?} (try all or cpu)"
+                        ))
+                    }
+                }
+            }
+            "--trace-out" => o.trace_out = Some(value(&mut args, &arg)?),
+            "--metrics-out" => o.metrics_out = Some(value(&mut args, &arg)?),
+            "--prom-out" => o.prom_out = Some(value(&mut args, &arg)?),
+            "--spans-out" => o.spans_out = Some(value(&mut args, &arg)?),
+            "--bottleneck-out" => o.bottleneck_out = Some(value(&mut args, &arg)?),
+            other => return Err(format!("unknown argument {other:?}")),
+        }
     }
-    if bottleneck_out.is_some() {
-        // The report's deterministic core is built from queue stamps, and
-        // only virtual-clock stamps (plus the span dump they derive) are a
-        // pure function of the workload.
-        assert!(
-            virtual_clock && queueing,
-            "--bottleneck-out needs --virtual-clock --queueing: the critical-path \
-             report is reconstructed from deterministic queue stamps"
-        );
+    // With each simulated second dilated to a virtual hour, a wall clock
+    // would really sleep until every completion instant — hours of real
+    // time.  Queueing in this example is a virtual-clock demo.
+    if o.queueing && !o.virtual_clock {
+        return Err(format!(
+            "--queueing needs --virtual-clock: dilation {QUEUE_DILATION}x would sleep for \
+             real hours on the wall clock"
+        ));
     }
+    // Wall-clock spans are live profiling data whose timestamps depend on
+    // scheduler interleaving; only virtual-clock spans (derived from
+    // schedule-relative queue stamps) dump byte-identically across runs.
+    if o.spans_out.is_some() && !o.virtual_clock {
+        return Err("--spans-out needs --virtual-clock: wall-clock span timestamps are \
+                    nondeterministic, only virtual-time spans dump reproducibly"
+            .to_owned());
+    }
+    // The report's deterministic core is built from queue stamps, and only
+    // virtual-clock stamps (plus the span dump they derive) are a pure
+    // function of the workload.
+    if o.bottleneck_out.is_some() && !(o.virtual_clock && o.queueing) {
+        return Err("--bottleneck-out needs --virtual-clock --queueing: the critical-path \
+                    report is reconstructed from deterministic queue stamps"
+            .to_owned());
+    }
+    Ok(o)
+}
+
+fn main() {
+    let Options {
+        virtual_clock,
+        queueing,
+        substrates_all,
+        personalize,
+        users,
+        workers,
+        trace_out,
+        metrics_out,
+        prom_out,
+        spans_out,
+        bottleneck_out,
+        obs_summary,
+    } = parse_args(std::env::args().skip(1)).unwrap_or_else(|error| {
+        eprintln!("fleet_stress: {error}\n{USAGE}");
+        std::process::exit(2);
+    });
 
     let platform = SocPlatform::odroid_xu3();
     let scale = ExperimentScale::Quick;
-    let users = users_override.unwrap_or(if virtual_clock { 24 } else { 12 });
-    let workers = workers_override.unwrap_or(4);
-    assert!(users > 0, "--users needs a positive count");
-    assert!(workers > 0, "--workers needs a positive count");
+    let users = users.unwrap_or(if virtual_clock { 24 } else { 12 });
+    let workers = workers.unwrap_or(4);
 
     let artifacts = shared_artifacts(&platform, scale);
     let generator = if substrates_all {
@@ -197,14 +230,6 @@ fn main() {
         fleet = fleet.with_clock(Clock::virtual_clock());
     }
     if queueing {
-        // With each simulated second dilated to a virtual hour, a wall clock
-        // would really sleep until every completion instant — hours of real
-        // time.  Queueing in this example is a virtual-clock demo.
-        assert!(
-            virtual_clock,
-            "--queueing needs --virtual-clock: dilation {QUEUE_DILATION}x would sleep for \
-             real hours on the wall clock"
-        );
         fleet = fleet.with_queueing(QueueingConfig::new(QUEUE_DILATION, QUEUE_SLOTS));
     }
     let obs = Observability::new();
@@ -663,4 +688,67 @@ fn print_queueing_tables(il: &FleetReport, platform: &SocPlatform, workers: usiz
         markov_queue.utilisation * 100.0,
         markov_queue.max_queue_depth,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(args.iter().map(|a| (*a).to_owned()))
+    }
+
+    #[test]
+    fn parses_every_flag() {
+        let o = parse(&[
+            "--virtual-clock",
+            "--queueing",
+            "--users",
+            "10000",
+            "--workers",
+            "2",
+            "--substrates",
+            "all",
+            "--trace-out",
+            "t.jsonl",
+            "--spans-out",
+            "s.json",
+            "--bottleneck-out",
+            "b.json",
+            "--obs-summary",
+        ])
+        .expect("valid arguments parse");
+        assert!(o.virtual_clock && o.queueing && o.substrates_all && o.obs_summary);
+        assert_eq!((o.users, o.workers), (Some(10_000), Some(2)));
+        assert_eq!(o.trace_out.as_deref(), Some("t.jsonl"));
+        assert_eq!(o.bottleneck_out.as_deref(), Some("b.json"));
+        assert_eq!(parse(&[]), Ok(Options::default()));
+    }
+
+    #[test]
+    fn rejects_missing_and_malformed_values() {
+        for (args, needle) in [
+            (&["--users"][..], "--users needs a value"),
+            (&["--users", "many"][..], "positive integer count, got \"many\""),
+            (&["--workers", "0"][..], "--workers needs a positive integer"),
+            (&["--workers", "-3"][..], "count, got \"-3\""),
+            (&["--substrates"][..], "--substrates needs a value"),
+            (&["--substrates", "tpu"][..], "unknown --substrates value"),
+            (&["--trace-out"][..], "--trace-out needs a value"),
+            (&["--metrics-out", "--obs-summary"][..], "--metrics-out needs a value"),
+            (&["--prom-out"][..], "--prom-out needs a value"),
+            (&["--frobnicate"][..], "unknown argument"),
+        ] {
+            let error = parse(args).expect_err("bad arguments are rejected");
+            assert!(error.contains(needle), "{args:?}: {error}");
+        }
+    }
+
+    #[test]
+    fn rejects_flags_that_need_the_virtual_clock() {
+        assert!(parse(&["--queueing"]).unwrap_err().contains("needs --virtual-clock"));
+        assert!(parse(&["--spans-out", "s.json"]).unwrap_err().contains("needs --virtual-clock"));
+        let bottleneck = parse(&["--virtual-clock", "--bottleneck-out", "b.json"]);
+        assert!(bottleneck.unwrap_err().contains("needs --virtual-clock --queueing"));
+    }
 }
