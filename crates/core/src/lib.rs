@@ -65,11 +65,11 @@ pub mod prelude {
     pub use soclearn_rl::{DqnAgent, QTableAgent, RlConfig};
     pub use soclearn_runtime::{
         shared_artifacts, AmdahlFit, ArtifactStore, BottleneckReport, Clock, DecisionKind,
-        DriverTelemetry, ExperimentScale, FrameDemand, GpuServing, GpuSessionSpec, ModelStoreStats,
-        NocServing, NocSessionSpec, Observability, QuantileSketch, QueueStamp, ScenarioDriver,
-        ScenarioSource, ScenarioSpec, SliceSource, SubstrateDecision, SubstratePolicies,
-        SubstrateRecord, SubstrateTelemetry, SubstrateWork, SweepCache, SweepEngine, SweepL1Stats,
-        TieredModelStore, TieredPolicy, TrainingArtifacts,
+        DriverTelemetry, ExperimentScale, FrameDemand, GpuServing, GpuSessionSpec, NocServing,
+        NocSessionSpec, Observability, QuantileSketch, QueueStamp, ScenarioDriver, ScenarioSource,
+        ScenarioSpec, SliceSource, SubstrateDecision, SubstratePolicies, SubstrateRecord,
+        SubstrateTelemetry, SubstrateWork, SweepCache, SweepEngine, SweepL1Stats,
+        TrainingArtifacts,
     };
     pub use soclearn_scenarios::{
         fifo_stamps, replay, ArrivalSchedule, FleetDrainReport, FleetReport, FleetSource,

@@ -21,7 +21,6 @@ use serde::{Deserialize, Serialize};
 use soclearn_online_learning::mlp::Mlp;
 use soclearn_online_learning::rls::{AdaptiveForgettingRls, RecursiveLeastSquares};
 use soclearn_online_learning::scaler::StandardScaler;
-use soclearn_online_learning::stats::RlsStats;
 use soclearn_online_learning::traits::{Classifier, OnlineRegressor};
 use soclearn_soc_sim::{ClusterKind, DvfsConfig, DvfsPolicy, PolicyDecision, SocPlatform};
 
@@ -116,20 +115,6 @@ impl OnlineModel {
             OnlineModel::Adaptive(m) => m.samples_seen(),
         }
     }
-
-    /// Approximate resident footprint: the `d × d` covariance plus the weight
-    /// vector dominate; the adaptive shell adds a handful of scalars.
-    fn approx_bytes(&self) -> usize {
-        let d = match self {
-            OnlineModel::Fixed(m) => m.input_dim(),
-            OnlineModel::Adaptive(m) => m.input_dim(),
-        };
-        let core = (d * d + d) * std::mem::size_of::<f64>();
-        match self {
-            OnlineModel::Fixed(_) => core,
-            OnlineModel::Adaptive(_) => core + 6 * std::mem::size_of::<f64>(),
-        }
-    }
 }
 
 /// Runtime statistics of an online-IL policy.
@@ -206,13 +191,6 @@ pub struct OnlineIlPolicy {
     config: OnlineIlConfig,
     stats: OnlineIlStats,
     last_time_s: Option<f64>,
-    /// Optional sufficient-statistics recorder for the tiered model store:
-    /// when enabled, every online model update also accumulates its raw
-    /// `(x, y)` observation into `(power, time)` [`RlsStats`], so a fleet can
-    /// later merge per-user deltas back into a shared base exactly (the
-    /// runtime models themselves run with forgetting and are not mergeable).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    delta_stats: Option<(RlsStats, RlsStats)>,
     name: String,
 }
 
@@ -235,7 +213,6 @@ impl OnlineIlPolicy {
             config,
             stats: OnlineIlStats::default(),
             last_time_s: None,
-            delta_stats: None,
             name: "online-il".to_owned(),
         }
     }
@@ -274,108 +251,6 @@ impl OnlineIlPolicy {
     /// Current runtime statistics.
     pub fn stats(&self) -> OnlineIlStats {
         self.stats
-    }
-
-    /// Starts accumulating normal-equation sufficient statistics
-    /// (`Σxxᵀ`, `Σxy`, `n`) for every subsequent online model update, one
-    /// [`RlsStats`] pair for the (power, time) models.  The tiered model
-    /// store enables this on per-user copies so their deltas can be
-    /// fleet-merged back into the shared base exactly; recording costs one
-    /// extra `O(d²)` accumulation per update and ~1.3 KB of state.
-    pub fn enable_stats_recording(&mut self) {
-        self.delta_stats =
-            Some((RlsStats::zero(CANDIDATE_FEATURE_DIM), RlsStats::zero(CANDIDATE_FEATURE_DIM)));
-    }
-
-    /// Whether [`OnlineIlPolicy::enable_stats_recording`] is active.
-    pub fn stats_recording_enabled(&self) -> bool {
-        self.delta_stats.is_some()
-    }
-
-    /// Takes the recorded (power, time) sufficient statistics, leaving fresh
-    /// zeroed recorders in place (recording stays enabled).  Returns `None`
-    /// when recording was never enabled.
-    pub fn take_recorded_stats(&mut self) -> Option<(RlsStats, RlsStats)> {
-        self.delta_stats
-            .replace((RlsStats::zero(CANDIDATE_FEATURE_DIM), RlsStats::zero(CANDIDATE_FEATURE_DIM)))
-    }
-
-    /// Takes the recorded statistics and turns recording off, without
-    /// allocating replacement recorders.  The end-of-life variant of
-    /// [`OnlineIlPolicy::take_recorded_stats`]: a lease being dropped
-    /// harvests its deltas exactly once, so the fresh zeroed pair would be
-    /// twenty-odd dead allocations per user at fleet scale.
-    pub fn finish_stats_recording(&mut self) -> Option<(RlsStats, RlsStats)> {
-        self.delta_stats.take()
-    }
-
-    /// The configuration the policy would return from
-    /// [`DvfsPolicy::decide`] for this input, **without** mutating any state.
-    ///
-    /// `decide` always returns the policy network's proposal (the runtime
-    /// Oracle label only feeds the aggregation buffer), so this is exact:
-    /// the tiered model store serves not-yet-diverged users straight off the
-    /// shared base through this method and defers copying until a user's
-    /// first model update.
-    pub fn propose(
-        &self,
-        platform: &SocPlatform,
-        counters: &soclearn_soc_sim::SnippetCounters,
-        current: DvfsConfig,
-    ) -> DvfsConfig {
-        self.propose_scaled(platform, counters, current).1
-    }
-
-    /// [`OnlineIlPolicy::propose`], also returning the scaled feature vector
-    /// the proposal was predicted from.  The tiered model store logs the pair
-    /// while a lease is still on the shared tier so that
-    /// [`OnlineIlPolicy::replay_shared_decision`] can reproduce the decision's
-    /// state effects at materialization without re-running the prediction.
-    pub fn propose_scaled(
-        &self,
-        platform: &SocPlatform,
-        counters: &soclearn_soc_sim::SnippetCounters,
-        current: DvfsConfig,
-    ) -> (Vec<f64>, DvfsConfig) {
-        let features = policy_features(platform, counters, current);
-        let scaled = self.scaler.transform(&features);
-        let proposal = self.prediction_from_scaled(platform, &scaled);
-        (scaled, proposal)
-    }
-
-    /// Applies the state effects of one pre-divergence, zero-counter
-    /// [`DvfsPolicy::decide`] from its logged `(scaled, proposal)` pair: no
-    /// model update runs (the counters were zero) and the Oracle label falls
-    /// back to the proposal (the models were not consulted), so the decision's
-    /// only mutations are the DAgger bookkeeping replicated here.  Produces a
-    /// policy bit-identical to one that took the original `decide` call.
-    pub fn replay_shared_decision(&mut self, scaled: Vec<f64>, proposal: DvfsConfig) {
-        self.stats.decisions += 1;
-        self.stats.agreements += 1;
-        self.stats.buffer_bytes +=
-            scaled.len() * std::mem::size_of::<f64>() + 2 * std::mem::size_of::<usize>();
-        self.buffer.push((scaled, proposal));
-        if self.buffer.len() >= self.config.buffer_capacity {
-            self.retrain_from_buffer();
-        }
-    }
-
-    /// Approximate resident footprint of one policy instance in bytes: the
-    /// scaler, both policy networks, both online RLS models, the aggregation
-    /// buffer and any delta-statistics recorder.  This is the per-user cost a
-    /// naive "full copy per user" personalization scheme would pay, and the
-    /// denominator of the tiered store's bytes/user gauge.
-    pub fn model_bytes(&self) -> usize {
-        let f = std::mem::size_of::<f64>();
-        let scaler = (2 * self.scaler.dim() + 1) * f;
-        let mlps = (self.little_mlp.param_count() + self.big_mlp.param_count()) * f;
-        let models = self.power_model.approx_bytes() + self.time_model.approx_bytes();
-        let deltas = self
-            .delta_stats
-            .as_ref()
-            .map(|(p, t)| p.approx_bytes() + t.approx_bytes())
-            .unwrap_or(0);
-        scaler + mlps + models + self.stats.buffer_bytes + deltas
     }
 
     /// The configuration parameters the policy was created with.
@@ -452,15 +327,8 @@ impl DvfsPolicy for OnlineIlPolicy {
         if counters.instructions_retired > 0.0 {
             let observed = basis.features(platform, current);
             self.power_model.update(&observed, counters.total_chip_power_w);
-            let time_target = self.last_time_s.take().map(|t| t / basis.kilo_instructions());
-            if let Some(y) = time_target {
-                self.time_model.update(&observed, y);
-            }
-            if let Some((power_stats, time_stats)) = &mut self.delta_stats {
-                power_stats.observe(&observed, counters.total_chip_power_w);
-                if let Some(y) = time_target {
-                    time_stats.observe(&observed, y);
-                }
+            if let Some(t) = self.last_time_s.take() {
+                self.time_model.update(&observed, t / basis.kilo_instructions());
             }
         }
 
@@ -729,47 +597,6 @@ mod tests {
         }
         assert!(max_bytes > 0);
         assert!(max_bytes < 20_000, "paper reports <20 KB buffer overhead, got {max_bytes}");
-    }
-
-    #[test]
-    fn propose_matches_decide_for_fresh_and_warm_policies() {
-        // `propose` (immutable) must return exactly what `decide` would: the
-        // tiered model store relies on this to serve not-yet-diverged users
-        // off the shared base without copying it.
-        let platform = SocPlatform::small();
-        let mut online = trained_online_policy(&platform, OnlineIlConfig::default());
-        let mut sim = SocSimulator::new(platform.clone());
-        let mut counters = SnippetCounters::default();
-        let mut current = platform.max_config();
-        for (i, p) in unseen_profiles().iter().take(40).enumerate() {
-            let proposed = online.propose(&platform, &counters, current);
-            current = online.decide(&platform, PolicyDecision::new(&counters, current, i));
-            assert_eq!(proposed, current, "propose must predict decide at step {i}");
-            let r = sim.execute_snippet(p, current);
-            online.observe_outcome(r.energy_j, r.time_s);
-            counters = r.counters;
-        }
-    }
-
-    #[test]
-    fn recorded_stats_mirror_model_updates() {
-        let platform = SocPlatform::small();
-        let mut online = trained_online_policy(&platform, OnlineIlConfig::default());
-        assert!(!online.stats_recording_enabled());
-        assert_eq!(online.take_recorded_stats(), None);
-        online.enable_stats_recording();
-        let profiles: Vec<_> = unseen_profiles().into_iter().take(30).collect();
-        let steps = profiles.len();
-        let (_, _) = run_policy(&platform, &mut online, &profiles);
-        let (power, time) = online.take_recorded_stats().expect("recording enabled");
-        // Decision 0 sees zero counters (no model update); every later decision
-        // updates both models, the time model from the previous outcome.
-        assert_eq!(power.samples(), steps as u64 - 1);
-        assert_eq!(time.samples(), steps as u64 - 1);
-        // Taking leaves fresh zeroed recorders in place.
-        let (power2, _) = online.take_recorded_stats().expect("still enabled");
-        assert!(power2.is_empty());
-        assert!(online.model_bytes() > 0);
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub mod metrics;
 pub mod mlp;
 pub mod rls;
 pub mod scaler;
-pub mod stats;
 pub mod traits;
 pub mod tree;
 
@@ -46,6 +45,5 @@ pub use linear::RidgeRegression;
 pub use mlp::{Activation, Mlp, MlpBuilder};
 pub use rls::{AdaptiveForgettingRls, RecursiveLeastSquares};
 pub use scaler::StandardScaler;
-pub use stats::RlsStats;
 pub use traits::{Classifier, OnlineRegressor, Regressor};
 pub use tree::{DecisionTreeClassifier, RegressionTree};

@@ -48,12 +48,9 @@ impl RecursiveLeastSquares {
     /// Scale of the initial covariance `P₀ = INITIAL_COVARIANCE_SCALE · I`.
     ///
     /// A large diagonal encodes an almost-uninformative prior on the weights:
-    /// RLS with `P₀ = c·I` is exactly ridge regression with penalty `1/c`, so
-    /// this constant is also the (tiny) implicit ridge prior
-    /// `A₀ = I / INITIAL_COVARIANCE_SCALE` that the sufficient-statistics
-    /// conversions in [`crate::stats`] must account for.  One named constant
-    /// keeps [`RecursiveLeastSquares::new`], [`RecursiveLeastSquares::reset`]
-    /// and those conversions from drifting apart.
+    /// RLS with `P₀ = c·I` is exactly ridge regression with penalty `1/c`.
+    /// One named constant keeps [`RecursiveLeastSquares::new`] and
+    /// [`RecursiveLeastSquares::reset`] from drifting apart.
     pub const INITIAL_COVARIANCE_SCALE: f64 = 1e4;
 
     /// Creates an RLS estimator for `dim` features with forgetting factor `lambda`.
@@ -114,24 +111,8 @@ impl RecursiveLeastSquares {
     }
 
     /// The inverse correlation matrix `P` (row-major, `dim × dim`).
-    ///
-    /// Read-only: the sufficient-statistics conversions
-    /// ([`crate::stats::RlsStats`]) recover `A = P⁻¹ − A₀` from it.
     pub fn covariance(&self) -> &[Vec<f64>] {
         &self.p
-    }
-
-    /// Rebuilds an estimator from externally computed fitted state (the
-    /// sufficient-statistics refit path); keeps the default covariance floor.
-    pub(crate) fn from_fitted_state(
-        weights: Vec<f64>,
-        p: Vec<Vec<f64>>,
-        lambda: f64,
-        samples: usize,
-    ) -> Self {
-        assert!(!weights.is_empty(), "feature dimension must be positive");
-        assert!(lambda > 0.0 && lambda <= 1.0, "forgetting factor must be in (0, 1]");
-        Self { weights, p, lambda, samples, p_floor: Self::DEFAULT_COVARIANCE_FLOOR }
     }
 
     /// The forgetting factor currently in use.

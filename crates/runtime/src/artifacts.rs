@@ -194,16 +194,6 @@ impl TrainingArtifacts {
         online
     }
 
-    /// The batch-pretrained (`λ = 1`) online candidate models `(power, time)`.
-    ///
-    /// These are the tiered model store's merge anchor: because they were
-    /// fitted with `λ = 1` updates, their exact sufficient statistics can be
-    /// recovered (`RlsStats::from_estimator`) and per-user deltas folded in
-    /// with an exact, associative merge.
-    pub fn pretrained_models(&self) -> (&RecursiveLeastSquares, &RecursiveLeastSquares) {
-        (&self.pretrained_power, &self.pretrained_time)
-    }
-
     /// A fresh sweep engine (ambient thermal state) sharing this artifact set's
     /// sweep cache.
     pub fn sweep_engine(&self) -> SweepEngine {

@@ -328,11 +328,6 @@ pub struct DriverTelemetry {
     pub substrates: [SubstrateTelemetry; 3],
     /// Per-worker breakdowns, indexed by worker.
     pub workers: Vec<WorkerTelemetry>,
-    /// Tiered model store accounting (deltas materialized, resident copies,
-    /// fleet-merge counters); `None` unless the driver ran with
-    /// [`ScenarioDriver::with_personalization`].  The snapshot is taken after
-    /// the run's final fleet merge.
-    pub model_store: Option<crate::store::ModelStoreStats>,
 }
 
 /// Runs many independent scenario "users" concurrently on a worker pool.
@@ -354,9 +349,6 @@ pub struct ScenarioDriver {
     /// Per-worker L1 warm tier over the shared sweep cache:
     /// `(capacity, publish_every)`, on by default.
     worker_l1: Option<(usize, usize)>,
-    /// Tiered model store for per-user personalization: the driver final-
-    /// merges it at run end and reports its accounting.
-    personalization: Option<Arc<crate::store::TieredModelStore>>,
 }
 
 impl ScenarioDriver {
@@ -380,31 +372,7 @@ impl ScenarioDriver {
                 SweepEngine::DEFAULT_L1_CAPACITY,
                 SweepEngine::DEFAULT_L1_PUBLISH_EVERY,
             )),
-            personalization: None,
         }
-    }
-
-    /// Attaches a tiered per-user model store: policy factories should lease
-    /// from this store (the driver does not replace them), and in exchange
-    /// the driver fleet-merges any pending per-user deltas at run end,
-    /// reports the store's accounting in
-    /// [`DriverTelemetry::model_store`] and publishes its metrics into the
-    /// observability plane.
-    ///
-    /// Note on determinism: the merged base's low-order float bits depend on
-    /// lease completion order (f64 addition is not associative across
-    /// workers), so personalized runs are excluded from byte-compare
-    /// determinism gates; the 1e-9 merge law is what holds at any worker
-    /// count.
-    #[must_use]
-    pub fn with_personalization(mut self, store: Arc<crate::store::TieredModelStore>) -> Self {
-        self.personalization = Some(store);
-        self
-    }
-
-    /// The attached tiered model store, when personalization is on.
-    pub fn personalization(&self) -> Option<&Arc<crate::store::TieredModelStore>> {
-        self.personalization.as_ref()
     }
 
     /// Re-sizes the per-worker L1 warm tier each worker's Oracle-reference
@@ -653,9 +621,6 @@ impl ScenarioDriver {
             if let Some(serving) = &self.serving_cache {
                 serving.attach_contention(&obs.registry);
             }
-            if let Some(store) = &self.personalization {
-                store.attach_contention(&obs.registry);
-            }
         }
         let mut worker_slots: Vec<WorkerSlot> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.workers)
@@ -705,12 +670,6 @@ impl ScenarioDriver {
             }
         }
         let cpu_decisions = substrates[DecisionKind::Cpu.lane()].decisions;
-        // All leases are dropped (workers joined), so the final fleet merge
-        // folds every completed user's deltas before the snapshot is taken.
-        let model_store = self.personalization.as_ref().map(|store| {
-            store.finish_run();
-            store.snapshot()
-        });
         let telemetry = DriverTelemetry {
             scenarios: workers.iter().map(|w| w.scenarios).sum(),
             decisions,
@@ -733,13 +692,9 @@ impl ScenarioDriver {
             l1,
             substrates,
             workers,
-            model_store,
         };
         if let Some(obs) = &self.obs {
             Self::publish_run(obs, &telemetry);
-            if let Some(store) = &self.personalization {
-                store.publish_stats(&obs.registry);
-            }
         }
         (telemetry, records)
     }

@@ -46,7 +46,6 @@ pub mod artifacts;
 pub mod driver;
 pub mod obs;
 pub mod scale;
-pub mod store;
 pub mod substrate;
 pub mod sweep;
 
@@ -65,14 +64,10 @@ pub use driver::{
 };
 pub use obs::Observability;
 pub use scale::ExperimentScale;
-/// Re-exported so downstream crates can configure [`TieredModelStore`]
-/// leases without depending on `soclearn-imitation` directly.
-pub use soclearn_imitation::OnlineIlConfig;
 pub use soclearn_telemetry::{
     AmdahlFit, BottleneckReport, LatencyHistogram, ObservedMutex, ObservedRwLock, QuantileSketch,
     SiteAttribution, StampedInterval,
 };
-pub use store::{ModelStoreStats, TieredModelStore, TieredPolicy};
 pub use substrate::{
     noc_decision_seed, replay_noc_window, DecisionKind, FrameDemand, GpuConfig, GpuDecisionRecord,
     GpuPlatform, GpuReplayOutcome, GpuReplayer, GpuServing, GpuSessionSpec, MeshConfig,

@@ -39,9 +39,8 @@ use soclearn_runtime::obs::{
     BottleneckReport, Observability, ObservedMutex, Span, StampedInterval, TelemetryRegistry,
 };
 use soclearn_runtime::{
-    Clock, DecisionKind, DriverTelemetry, ModelStoreStats, QuantileSketch, QueueStamp,
-    ScenarioDriver, ScenarioRecord, ScenarioSource, ScenarioSpec, SubstrateDecision,
-    SubstratePolicies, TieredModelStore,
+    Clock, DecisionKind, DriverTelemetry, QuantileSketch, QueueStamp, ScenarioDriver,
+    ScenarioRecord, ScenarioSource, ScenarioSpec, SubstrateDecision, SubstratePolicies,
 };
 use soclearn_soc_sim::{DvfsPolicy, SocPlatform};
 
@@ -909,9 +908,6 @@ pub struct FleetDrainReport {
     /// (32 B/slot) and the calendar heap (16 B/lane), over `users`.  The
     /// point of the sparse model is that this shrinks as the fleet grows.
     pub queue_bytes_per_user: f64,
-    /// Tiered model store accounting after the run's final fleet merge;
-    /// `None` unless the fleet ran with [`FleetStress::with_personalization`].
-    pub model_store: Option<ModelStoreStats>,
 }
 
 /// The closed-loop fleet harness: a generator, a user count, a worker pool and
@@ -926,11 +922,6 @@ pub struct FleetStress {
     oracle_reference: Option<OracleObjective>,
     queueing: Option<QueueingConfig>,
     obs: Option<Observability>,
-    personalization: Option<Arc<TieredModelStore>>,
-    /// Interned per-family lease labels, populated when personalization is
-    /// attached so each lease clones an `Arc<str>` instead of formatting a
-    /// family name — measurable at 10⁵+ leases per drain.
-    family_labels: Vec<Arc<str>>,
 }
 
 impl FleetStress {
@@ -957,46 +948,7 @@ impl FleetStress {
             oracle_reference: None,
             queueing: None,
             obs: None,
-            personalization: None,
-            family_labels: Vec::new(),
         }
-    }
-
-    /// Enables tiered per-user personalization: the store is attached to the
-    /// underlying [`ScenarioDriver`] (final fleet merge + accounting in
-    /// [`DriverTelemetry::model_store`] / [`FleetDrainReport::model_store`]),
-    /// and [`FleetStress::personalized_policy`] leases per-user policies from
-    /// it with the scenario's family as the materialization label.  Governor
-    /// baseline fleets ([`FleetStress::run_against_governors`]) never lease,
-    /// so they stay unpersonalized for a fair comparison.
-    #[must_use]
-    pub fn with_personalization(mut self, store: Arc<TieredModelStore>) -> Self {
-        self.personalization = Some(store);
-        self.family_labels =
-            self.generator.families().iter().map(|f| Arc::from(f.name())).collect();
-        self
-    }
-
-    /// The attached tiered model store, when personalization is on.
-    pub fn personalization(&self) -> Option<&Arc<TieredModelStore>> {
-        self.personalization.as_ref()
-    }
-
-    /// Leases a personalized policy for scenario `index` from the attached
-    /// store, labelled with the scenario's generator family — the policy
-    /// factory to pass to [`FleetStress::run`] / [`FleetStress::drain`] when
-    /// personalization is on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`FleetStress::with_personalization`] was not called.
-    pub fn personalized_policy(&self, index: usize) -> Box<dyn DvfsPolicy + Send> {
-        let store = self
-            .personalization
-            .as_ref()
-            .expect("personalized_policy requires with_personalization");
-        let family = Arc::clone(&self.family_labels[self.generator.family_index_of(index)]);
-        Box::new(store.lease(family))
     }
 
     /// Publishes fleet telemetry into an [`Observability`] plane: the plane
@@ -1092,28 +1044,7 @@ impl FleetStress {
     where
         F: Fn(usize, &ScenarioSpec) -> SubstratePolicies + Sync,
     {
-        let mut driver =
-            ScenarioDriver::new(self.platform.clone(), self.workers).with_clock(self.clock.clone());
-        if let Some(objective) = self.oracle_reference {
-            driver = driver.with_oracle_reference(objective);
-        }
-        if let Some(queueing) = self.queueing {
-            driver = driver.with_service_time(queueing.time_dilation);
-        }
-        if let Some(obs) = &self.obs {
-            driver = driver.with_observability(obs.clone());
-        }
-        if let Some(store) = &self.personalization {
-            driver = driver.with_personalization(Arc::clone(store));
-        }
-        let mut source = FleetSource::new(Arc::clone(&self.generator), self.users, self.schedule)
-            .with_clock(self.clock.clone());
-        if let Some(queueing) = self.queueing {
-            source = source.with_queueing(queueing.user_slots);
-        }
-        if let Some(obs) = &self.obs {
-            source.attach_contention(&obs.registry);
-        }
+        let (driver, source) = self.driver_and_source();
         let (telemetry, records) = driver.run_recorded_mixed(&source, &make_policies);
         let queueing = self
             .queueing
@@ -1196,28 +1127,7 @@ impl FleetStress {
     where
         F: Fn(usize, &ScenarioSpec) -> Box<dyn DvfsPolicy + Send> + Sync,
     {
-        let mut driver =
-            ScenarioDriver::new(self.platform.clone(), self.workers).with_clock(self.clock.clone());
-        if let Some(objective) = self.oracle_reference {
-            driver = driver.with_oracle_reference(objective);
-        }
-        if let Some(queueing) = self.queueing {
-            driver = driver.with_service_time(queueing.time_dilation);
-        }
-        if let Some(obs) = &self.obs {
-            driver = driver.with_observability(obs.clone());
-        }
-        if let Some(store) = &self.personalization {
-            driver = driver.with_personalization(Arc::clone(store));
-        }
-        let mut source = FleetSource::new(Arc::clone(&self.generator), self.users, self.schedule)
-            .with_clock(self.clock.clone());
-        if let Some(queueing) = self.queueing {
-            source = source.with_queueing(queueing.user_slots);
-        }
-        if let Some(obs) = &self.obs {
-            source.attach_contention(&obs.registry);
-        }
+        let (driver, source) = self.driver_and_source();
         let started = Instant::now();
         let telemetry = driver.run_stream(&source, make_policy);
         let elapsed_s = started.elapsed().as_secs_f64();
@@ -1244,8 +1154,33 @@ impl FleetStress {
             mean_sojourn_s,
             queue_peak_resident: peak,
             queue_bytes_per_user: state_bytes / self.users.max(1) as f64,
-            model_store: telemetry.model_store,
         }
+    }
+
+    /// The driver and streaming source shared by [`FleetStress::run_mixed`]
+    /// and [`FleetStress::drain`], both configured from this harness's clock,
+    /// Oracle reference, queueing and observability settings.
+    fn driver_and_source(&self) -> (ScenarioDriver, FleetSource) {
+        let mut driver =
+            ScenarioDriver::new(self.platform.clone(), self.workers).with_clock(self.clock.clone());
+        if let Some(objective) = self.oracle_reference {
+            driver = driver.with_oracle_reference(objective);
+        }
+        if let Some(queueing) = self.queueing {
+            driver = driver.with_service_time(queueing.time_dilation);
+        }
+        if let Some(obs) = &self.obs {
+            driver = driver.with_observability(obs.clone());
+        }
+        let mut source = FleetSource::new(Arc::clone(&self.generator), self.users, self.schedule)
+            .with_clock(self.clock.clone());
+        if let Some(queueing) = self.queueing {
+            source = source.with_queueing(queueing.user_slots);
+        }
+        if let Some(obs) = &self.obs {
+            source.attach_contention(&obs.registry);
+        }
+        (driver, source)
     }
 
     /// Folds one fleet run into the observability plane: per-family counters
@@ -1298,43 +1233,15 @@ impl FleetStress {
         }
     }
 
-    /// Runs the policy fleet plus *ondemand* and *interactive* governor fleets
-    /// over the identical scenario stream and returns the three reports
-    /// together with per-family energy deltas of the policy against each
-    /// governor (in the order `[vs-ondemand, vs-interactive]`).
-    pub fn run_against_governors<F>(
-        &self,
-        make_policy: F,
-    ) -> (FleetReport, [FleetReport; 2], [Vec<FamilyEnergyDelta>; 2])
-    where
-        F: Fn(usize, &ScenarioSpec) -> Box<dyn DvfsPolicy + Send> + Sync,
-    {
-        let policy_report = self.run(make_policy);
-        let platform = self.platform.clone();
-        let ondemand = self.run(|_, _| Box::new(OndemandGovernor::new(&platform)));
-        let interactive = self.run(|_, _| Box::new(InteractiveGovernor::new()));
-        let deltas = [&ondemand, &interactive].map(|baseline| {
-            policy_report
-                .families
-                .iter()
-                .zip(&baseline.families)
-                .map(|(p, b)| FamilyEnergyDelta {
-                    family: p.family.clone(),
-                    policy_energy_j: p.energy_j,
-                    baseline_energy_j: b.energy_j,
-                })
-                .collect()
-        });
-        (policy_report, [ondemand, interactive], deltas)
-    }
-
-    /// Mixed-substrate analogue of [`FleetStress::run_against_governors`]:
-    /// runs the policy fleet from `make_policies`, then two all-governor
+    /// Runs the policy fleet from `make_policies`, then two all-governor
     /// baseline fleets over the identical scenario stream — *ondemand* and
     /// *interactive* on the CPU, each paired with the GPU utilisation
     /// governor and the analytical NoC latency model (the per-substrate
-    /// governor baselines).  Energy deltas compare total cross-substrate
-    /// energy per family.
+    /// governor baselines) — and returns the three reports together with
+    /// per-family energy deltas of the policy against each governor (in the
+    /// order `[vs-ondemand, vs-interactive]`).  Energy deltas compare total
+    /// cross-substrate energy per family; wrap a CPU-only factory with
+    /// [`SubstratePolicies::cpu_only`].
     pub fn run_mixed_against_governors<F>(
         &self,
         make_policies: F,
@@ -1731,34 +1638,6 @@ mod tests {
     }
 
     #[test]
-    fn personalized_fleet_reports_store_accounting() {
-        use soclearn_runtime::{shared_artifacts, ExperimentScale, OnlineIlConfig};
-        let platform = SocPlatform::small();
-        let artifacts = shared_artifacts(&platform, ExperimentScale::Quick);
-        let store =
-            Arc::new(TieredModelStore::with_defaults(&artifacts, OnlineIlConfig::default()));
-        let users = 12;
-        let fleet = FleetStress::new(platform, generator(), users, 2)
-            .with_clock(Clock::virtual_clock())
-            .with_personalization(Arc::clone(&store));
-        let report = fleet.drain(|i, _| fleet.personalized_policy(i));
-        assert!(report.decisions > 0);
-        let stats = report.model_store.expect("personalized drain must report store stats");
-        assert_eq!(stats.users_leased, users as u64);
-        assert!(stats.deltas_materialized > 0, "real workloads must diverge");
-        assert!(stats.merge_rounds >= 1, "finish_run must fold pending deltas into the base");
-        assert!(stats.base_version >= 1);
-        assert!(
-            (stats.peak_resident_copies as usize) <= users,
-            "resident copies are bounded by in-flight leases"
-        );
-        let families = store.family_materializations();
-        assert!(!families.is_empty(), "materializations are attributed per family");
-        let attributed: u64 = families.iter().map(|(_, n)| n).sum();
-        assert_eq!(attributed, stats.deltas_materialized);
-    }
-
-    #[test]
     fn drain_matches_the_recording_path() {
         let make = || {
             FleetStress::new(SocPlatform::small(), generator(), 12, 2)
@@ -1890,9 +1769,12 @@ mod tests {
     fn governor_comparison_covers_every_family() {
         let platform = SocPlatform::small();
         let fleet = FleetStress::new(platform.clone(), generator(), 4, 2);
-        let (report, [ondemand, interactive], deltas) = fleet.run_against_governors(|_, _| {
-            Box::new(soclearn_soc_sim::FixedConfigPolicy::new(platform.min_config()))
-        });
+        let (report, [ondemand, interactive], deltas) =
+            fleet.run_mixed_against_governors(|_, _| {
+                SubstratePolicies::cpu_only(Box::new(soclearn_soc_sim::FixedConfigPolicy::new(
+                    platform.min_config(),
+                )))
+            });
         assert_eq!(report.families.len(), 4);
         assert_eq!(ondemand.policy, "ondemand");
         assert_eq!(interactive.policy, "interactive");

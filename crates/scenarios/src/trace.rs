@@ -522,6 +522,20 @@ fn parse_noc_decision(value: &JsonValue, line: usize) -> Result<NocDecisionRecor
     }
     let width = mesh[0].as_usize().ok_or_else(|| format_err(line, "bad mesh width"))?;
     let height = mesh[1].as_usize().ok_or_else(|| format_err(line, "bad mesh height"))?;
+    // The window contract `NocSimulator` asserts on replay, checked here so a
+    // decoded trace always replays: a non-empty mesh, a positive window
+    // length and an injection rate in (0, 1] (NaN fails the comparison).
+    if width == 0 || height == 0 {
+        return Err(format_err(line, "mesh dimensions must be positive"));
+    }
+    let cycles = field_u64(value, "cycles", line)?;
+    if cycles == 0 {
+        return Err(format_err(line, "noc window needs a positive cycle count"));
+    }
+    let injection_rate = field_f64_bits(value, "rate", line)?;
+    if !(injection_rate > 0.0 && injection_rate <= 1.0) {
+        return Err(format_err(line, "noc injection rate must be in (0, 1]"));
+    }
     let pattern = value
         .get("pattern")
         .and_then(JsonValue::as_str)
@@ -532,9 +546,9 @@ fn parse_noc_decision(value: &JsonValue, line: usize) -> Result<NocDecisionRecor
         mesh: MeshConfig { width, height },
         pattern,
         seed: field_u64(value, "seed", line)?,
-        cycles: field_u64(value, "cycles", line)?,
+        cycles,
         offered_rate: field_f64_bits(value, "offered", line)?,
-        injection_rate: field_f64_bits(value, "rate", line)?,
+        injection_rate,
         predicted_latency_cycles: field_f64_bits(value, "predicted", line)?,
         analytical_latency_cycles: field_f64_bits(value, "analytical", line)?,
         measured_latency_cycles: field_f64_bits(value, "measured", line)?,

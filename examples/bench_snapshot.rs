@@ -40,17 +40,10 @@
 //! per-worker L1 warm tier; `scaling_efficiency_4w` and the re-fitted serial
 //! fraction are what CI's `scaling-gate` ratchets.
 //!
-//! The `model_store` section (schema 7) measures tiered copy-on-write
-//! personalization: a users ladder (10⁴ and 10⁵ by default, the top rung
-//! overridable with `BENCH_STORE_USERS`) of online-IL fleets drained twice —
-//! once with a private policy copy per user (the shared-model baseline), once
-//! leasing from one `TieredModelStore` — reporting decisions/s for both
-//! sides, peak personalization bytes per user, and that figure as a fraction
-//! of one full per-user copy.  CI gates the top rung: the copy fraction must
-//! stay under 10 % and personalized throughput within 10 % of the baseline.
-//! The section also carries the fixed-vs-adaptive forgetting comparison
-//! (Full-scale suites plus the generated families) whose `verdict` field
-//! records which λ strategy the default config should ship.
+//! The `adaptive_forgetting` section (schema 8) carries the fixed-vs-adaptive
+//! forgetting comparison (Full-scale suites plus the generated families)
+//! whose `verdict` field records which λ strategy the default config should
+//! ship.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -74,8 +67,11 @@ use std::time::Duration;
 /// effective core, so core-starved runners stop reading as 97 %-serial code;
 /// 7: added the `model_store` section — the copy-on-write personalization
 /// ladder with its shared-vs-personalized throughput ratio and bytes-per-user
-/// accounting, and the fixed-vs-adaptive forgetting verdict).
-const SCHEMA: u32 = 7;
+/// accounting, and the fixed-vs-adaptive forgetting verdict; 8: removed the
+/// `model_store` section with the tiered model store it measured, and moved
+/// its unchanged fixed-vs-adaptive forgetting comparison to a top-level
+/// `adaptive_forgetting` section).
+const SCHEMA: u32 = 8;
 /// Timed repetitions per measurement; the best (max throughput / min time)
 /// is reported.
 const REPS: usize = 3;
@@ -444,136 +440,6 @@ fn main() {
         fleet_1m.queue_bytes_per_user,
     );
 
-    // Tiered model store: copy-on-write personalization at fleet scale.  Each
-    // ladder rung drains the same constant-rate week of online-IL users twice
-    // — every user with a private full policy copy (the shared-model
-    // baseline), then leasing from one TieredModelStore — so the throughput
-    // ratio isolates the store's lease/replay/merge overhead and the store's
-    // own accounting yields peak personalization bytes per user.  Resident
-    // copies are bounded by in-flight leases (the slots), not the fleet, so
-    // the per-user fraction of a full copy *shrinks* as the rung grows — the
-    // top rung is what CI gates (< 10 % of a copy, throughput within 10 %).
-    let store_users_top: usize = std::env::var("BENCH_STORE_USERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100_000);
-    let store_ladder: Vec<usize> = if store_users_top > 10_000 {
-        vec![10_000, store_users_top]
-    } else {
-        vec![store_users_top]
-    };
-    let artifacts_small = shared_artifacts(&small, ExperimentScale::Quick);
-    let store_config = OnlineIlConfig { buffer_capacity: 15, ..OnlineIlConfig::default() };
-    struct StoreRung {
-        users: usize,
-        decisions: usize,
-        shared_dps: f64,
-        personal_dps: f64,
-        ratio: f64,
-        stats: ModelStoreStats,
-    }
-    let mut store_rungs: Vec<StoreRung> = Vec::new();
-    for &rung_users in &store_ladder {
-        // Standard-length (8-snippet) streams, not the stub scenarios of the
-        // fleet_1m capacity drain: the gate measures steady-state serving,
-        // and per-lease fixed costs (materialization, delta bookkeeping, the
-        // drop-time stats fold) amortize over a user's decisions the way they
-        // would in a real session.  One worker: the gated quantity is the
-        // per-decision serving overhead of personalization, and a single
-        // stream measures it without the scheduler noise of a timeshared
-        // worker pool (parallel capacity is the fleet_1m section's job).
-        let make_fleet = || {
-            FleetStress::new(small.clone(), ScenarioGenerator::standard(2020, 8), rung_users, 1)
-                .with_schedule(ArrivalSchedule::Constant {
-                    interval: Duration::from_secs_f64(week_s / rung_users as f64),
-                })
-                .with_clock(Clock::virtual_clock())
-                .with_queueing(QueueingConfig::new(1.0, fleet_slots))
-        };
-        // The ratio is a CI gate, so it is measured as a paired design: each
-        // rep times a back-to-back shared/personalized drain pair (fresh
-        // store per pair) and contributes one ratio, and the gate takes the
-        // median over the pairs.  Machine-load drift on shared runners moves
-        // on second-to-minute scales, so it cancels inside a pair where
-        // per-arm best-of across minutes does not; alternating which arm
-        // runs first cancels cache- and allocator-warmth order bias too.
-        // Two extra pairs over the default REPS buy the median its majority.
-        let store_reps = REPS + 2;
-        let mut shared: Option<FleetDrainReport> = None;
-        let mut personalized: Option<FleetDrainReport> = None;
-        let mut pair_ratios = Vec::with_capacity(store_reps);
-        for rep in 0..store_reps {
-            // Merge cadence scaled to the rung: folding every 64 completions
-            // (the per-process default) would refit and republish the base
-            // 1.5k times across a 10⁵-user drain; one merge per ~64 in-flight
-            // generations keeps federation live without the republish churn.
-            let merge_every = (rung_users / 64).max(64);
-            let run_shared =
-                || make_fleet().drain(|_, _| Box::new(artifacts_small.online_policy(store_config)));
-            let run_personalized = || {
-                let store = std::sync::Arc::new(TieredModelStore::new(
-                    &artifacts_small,
-                    store_config,
-                    merge_every,
-                ));
-                let fleet = make_fleet().with_personalization(std::sync::Arc::clone(&store));
-                fleet.drain(|i, _| fleet.personalized_policy(i))
-            };
-            let (shared_rep, personal_rep) = if rep % 2 == 0 {
-                let s = run_shared();
-                (s, run_personalized())
-            } else {
-                let p = run_personalized();
-                (run_shared(), p)
-            };
-            pair_ratios.push(personal_rep.decisions_per_s / shared_rep.decisions_per_s.max(1e-9));
-            let shared_better =
-                shared.as_ref().map_or(true, |b| shared_rep.decisions_per_s > b.decisions_per_s);
-            if shared_better {
-                shared = Some(shared_rep);
-            }
-            let personal_better = personalized
-                .as_ref()
-                .map_or(true, |b| personal_rep.decisions_per_s > b.decisions_per_s);
-            if personal_better {
-                personalized = Some(personal_rep);
-            }
-        }
-        let shared = shared.expect("at least one shared-baseline rep");
-        let personalized = personalized.expect("at least one personalized rep");
-        pair_ratios.sort_by(f64::total_cmp);
-        let ratio = pair_ratios[pair_ratios.len() / 2];
-        let stats = personalized
-            .model_store
-            .clone()
-            .expect("a personalized drain reports store accounting");
-        println!(
-            "model_store: {} users — shared {:.0} decisions/s, personalized {:.0} decisions/s \
-             (pair ratios {:?} → {:.0}%), {} deltas, peak {} copies resident, {:.0} B/user \
-             ({:.2}% of a {} KB copy), {} merge rounds",
-            rung_users,
-            shared.decisions_per_s,
-            personalized.decisions_per_s,
-            pair_ratios.iter().map(|r| (r * 100.0).round() as i64).collect::<Vec<_>>(),
-            ratio * 100.0,
-            stats.deltas_materialized,
-            stats.peak_resident_copies,
-            stats.bytes_per_user(),
-            stats.copy_fraction_per_user() * 100.0,
-            stats.full_copy_bytes / 1024,
-            stats.merge_rounds,
-        );
-        store_rungs.push(StoreRung {
-            users: rung_users,
-            decisions: personalized.decisions,
-            shared_dps: shared.decisions_per_s,
-            personal_dps: personalized.decisions_per_s,
-            ratio,
-            stats,
-        });
-    }
-    let store_top = store_rungs.last().expect("the store ladder has at least one rung");
-
     // Fixed-vs-adaptive forgetting: the same Full-scale suites and the same
     // generated-family fleet served once with the default fixed λ = 0.97
     // online models and once with the STAFF-style adaptive variant.  Energy
@@ -761,67 +627,23 @@ fn main() {
     let _ = writeln!(json, "    \"queue_peak_resident\": {},", fleet_1m.queue_peak_resident);
     let _ = writeln!(json, "    \"queue_bytes_per_user\": {:.2}", fleet_1m.queue_bytes_per_user);
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"model_store\": {{");
-    let _ = writeln!(json, "    \"ladder\": [");
-    for (i, rung) in store_rungs.iter().enumerate() {
-        let comma = if i + 1 < store_rungs.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "      {{\"users\": {}, \"decisions\": {}, \"shared_decisions_per_s\": {:.1}, \
-             \"personalized_decisions_per_s\": {:.1}, \"throughput_ratio\": {:.4}, \
-             \"bytes_per_user\": {:.1}, \"copy_fraction_per_user\": {:.6}, \
-             \"deltas_materialized\": {}, \"merge_rounds\": {}}}{comma}",
-            rung.users,
-            rung.decisions,
-            rung.shared_dps,
-            rung.personal_dps,
-            rung.ratio,
-            rung.stats.bytes_per_user(),
-            rung.stats.copy_fraction_per_user(),
-            rung.stats.deltas_materialized,
-            rung.stats.merge_rounds,
-        );
-    }
-    let _ = writeln!(json, "    ],");
-    let _ = writeln!(json, "    \"users\": {},", store_top.users);
-    let _ = writeln!(json, "    \"decisions\": {},", store_top.decisions);
-    let _ = writeln!(json, "    \"shared_decisions_per_s\": {:.1},", store_top.shared_dps);
-    let _ = writeln!(json, "    \"personalized_decisions_per_s\": {:.1},", store_top.personal_dps);
-    let _ = writeln!(json, "    \"throughput_ratio\": {:.4},", store_top.ratio);
-    let _ = writeln!(json, "    \"users_leased\": {},", store_top.stats.users_leased);
-    let _ = writeln!(json, "    \"shared_decisions\": {},", store_top.stats.shared_decisions);
-    let _ = writeln!(json, "    \"deltas_materialized\": {},", store_top.stats.deltas_materialized);
-    let _ =
-        writeln!(json, "    \"peak_resident_copies\": {},", store_top.stats.peak_resident_copies);
-    let _ = writeln!(json, "    \"peak_copy_bytes\": {},", store_top.stats.peak_copy_bytes);
-    let _ = writeln!(json, "    \"full_copy_bytes\": {},", store_top.stats.full_copy_bytes);
-    let _ = writeln!(json, "    \"bytes_per_user\": {:.1},", store_top.stats.bytes_per_user());
+    let _ = writeln!(json, "  \"adaptive_forgetting\": {{");
+    let _ = writeln!(json, "    \"fixed_energy_j\": {:.3},", full_4w.total_energy_j);
+    let _ = writeln!(json, "    \"adaptive_energy_j\": {:.3},", adaptive_full.total_energy_j);
+    let _ = writeln!(json, "    \"adaptive_energy_delta_pct\": {adaptive_energy_delta_pct:.3},");
     let _ = writeln!(
         json,
-        "    \"copy_fraction_per_user\": {:.6},",
-        store_top.stats.copy_fraction_per_user()
-    );
-    let _ = writeln!(json, "    \"merge_rounds\": {},", store_top.stats.merge_rounds);
-    let _ = writeln!(json, "    \"merged_samples\": {},", store_top.stats.merged_samples);
-    let _ = writeln!(json, "    \"base_version\": {},", store_top.stats.base_version);
-    let _ = writeln!(json, "    \"adaptive_forgetting\": {{");
-    let _ = writeln!(json, "      \"fixed_energy_j\": {:.3},", full_4w.total_energy_j);
-    let _ = writeln!(json, "      \"adaptive_energy_j\": {:.3},", adaptive_full.total_energy_j);
-    let _ = writeln!(json, "      \"adaptive_energy_delta_pct\": {adaptive_energy_delta_pct:.3},");
-    let _ = writeln!(
-        json,
-        "      \"fixed_oracle_agreement\": {:.4},",
+        "    \"fixed_oracle_agreement\": {:.4},",
         full_4w.oracle_agreement.unwrap_or(0.0)
     );
     let _ = writeln!(
         json,
-        "      \"adaptive_oracle_agreement\": {:.4},",
+        "    \"adaptive_oracle_agreement\": {:.4},",
         adaptive_full.oracle_agreement.unwrap_or(0.0)
     );
-    let _ = writeln!(json, "      \"generated_families\": {family_count},");
-    let _ = writeln!(json, "      \"adaptive_family_wins\": {adaptive_family_wins},");
-    let _ = writeln!(json, "      \"verdict\": \"{adaptive_verdict}\"");
-    let _ = writeln!(json, "    }}");
+    let _ = writeln!(json, "    \"generated_families\": {family_count},");
+    let _ = writeln!(json, "    \"adaptive_family_wins\": {adaptive_family_wins},");
+    let _ = writeln!(json, "    \"verdict\": \"{adaptive_verdict}\"");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"contention\": {{");
     let _ = writeln!(json, "    \"serial_fraction\": {:.4},", amdahl.serial_fraction);

@@ -34,16 +34,6 @@
 //! flag combination the run cannot honour prints a usage error and exits
 //! with status 2.
 //!
-//! `--personalize` serves the online-IL fleet from a [`TieredModelStore`]
-//! instead of handing every user a private policy copy: users lease the
-//! shared base, copy-on-write materialize a delta on their first divergent
-//! update, and their RLS sufficient statistics are federated back into the
-//! base.  The run then prints the store's accounting — bytes per user against
-//! a full per-user copy, merge rounds, base version — and a per-family
-//! delta-materialization table.  Merged base weights depend on completion
-//! order at the floating-point level, so `--personalize` is not combined with
-//! the byte-compare determinism gates.
-//!
 //! `--substrates all` swaps the CPU-only generator for the heterogeneous
 //! seven-family mix — CPU DVFS scenarios, GPU eNMPC rendering sessions and
 //! learned-NoC latency windows, interleaved inside single scenarios — served
@@ -87,7 +77,6 @@ struct Options {
     virtual_clock: bool,
     queueing: bool,
     substrates_all: bool,
-    personalize: bool,
     users: Option<usize>,
     workers: Option<usize>,
     trace_out: Option<String>,
@@ -98,8 +87,8 @@ struct Options {
     obs_summary: bool,
 }
 
-const USAGE: &str = "usage: fleet_stress [--virtual-clock] [--queueing] [--personalize] \
-     [--users N] [--workers N] [--substrates all|cpu] [--trace-out PATH] [--metrics-out PATH] \
+const USAGE: &str = "usage: fleet_stress [--virtual-clock] [--queueing] [--users N] \
+     [--workers N] [--substrates all|cpu] [--trace-out PATH] [--metrics-out PATH] \
      [--prom-out PATH] [--spans-out PATH] [--bottleneck-out PATH] [--obs-summary]";
 
 /// Parses the arguments after the program name, rejecting unknown flags,
@@ -124,7 +113,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
         match arg.as_str() {
             "--virtual-clock" => o.virtual_clock = true,
             "--queueing" => o.queueing = true,
-            "--personalize" => o.personalize = true,
             "--obs-summary" => o.obs_summary = true,
             "--users" => o.users = Some(count(&mut args, &arg)?),
             "--workers" => o.workers = Some(count(&mut args, &arg)?),
@@ -180,7 +168,6 @@ fn main() {
         virtual_clock,
         queueing,
         substrates_all,
-        personalize,
         users,
         workers,
         trace_out,
@@ -239,27 +226,20 @@ fn main() {
         neighbourhood_radius: 2,
         ..OnlineIlConfig::default()
     };
-    let store = personalize
-        .then(|| std::sync::Arc::new(TieredModelStore::with_defaults(&artifacts, il_config)));
-    if let Some(store) = &store {
-        fleet = fleet.with_personalization(std::sync::Arc::clone(store));
-    }
     let wall = Instant::now();
-    let online_il = |i: usize, _: &ScenarioSpec| -> Box<dyn DvfsPolicy + Send> {
-        if store.is_some() {
-            fleet.personalized_policy(i)
-        } else {
-            Box::new(artifacts.online_policy(il_config))
-        }
-    };
-    let (il, [ondemand, interactive], [vs_ondemand, vs_interactive]) = if substrates_all {
-        // The learned bundle: online-IL on the CPU, explicit NMPC on the GPU,
-        // the SVR latency model on the NoC; governor fleets keep the
-        // per-substrate baselines (utilisation governor, analytical model).
-        fleet.run_mixed_against_governors(|i, s| SubstratePolicies::learned(online_il(i, s)))
-    } else {
-        fleet.run_against_governors(online_il)
-    };
+    let (il, [ondemand, interactive], [vs_ondemand, vs_interactive]) = fleet
+        .run_mixed_against_governors(|_, _| {
+            let online_il = Box::new(artifacts.online_policy(il_config));
+            if substrates_all {
+                // The learned bundle: online-IL on the CPU, explicit NMPC on
+                // the GPU, the SVR latency model on the NoC; governor fleets
+                // keep the per-substrate baselines (utilisation governor,
+                // analytical model).
+                SubstratePolicies::learned(online_il)
+            } else {
+                SubstratePolicies::cpu_only(online_il)
+            }
+        });
     if virtual_clock {
         println!(
             "Virtual clock: {:.1} simulated hours of arrivals served in {:.0} ms of wall time.\n",
@@ -324,10 +304,6 @@ fn main() {
         ondemand.telemetry.total_energy_j,
         interactive.telemetry.total_energy_j,
     );
-
-    if let Some(store) = &store {
-        print_store_tables(store, &il);
-    }
 
     if substrates_all {
         // Cross-substrate energy accounting: the learned bundle's lanes next
@@ -448,57 +424,6 @@ fn main() {
     println!(
         "\nOnline-IL used less energy than BOTH governors on {il_wins}/{} generated families.",
         il.families.len()
-    );
-}
-
-/// Renders `--personalize`: the tiered store's accounting (copy-on-write
-/// memory against a naive full-copy-per-user fleet, federated merge volume)
-/// and the per-family delta-materialization table.
-fn print_store_tables(store: &TieredModelStore, il: &FleetReport) {
-    let stats = il
-        .telemetry
-        .model_store
-        .as_ref()
-        .expect("a personalized fleet reports model-store accounting");
-    let leased = stats.users_leased.max(1);
-    let rows: Vec<Vec<String>> = store
-        .family_materializations()
-        .into_iter()
-        .map(|(family, deltas)| {
-            vec![
-                family,
-                format!("{deltas}"),
-                format!("{:.1}%", deltas as f64 / leased as f64 * 100.0),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "Delta materializations per generated family (copy-on-write leases)",
-            &["Family", "Deltas", "Of fleet"],
-            &rows
-        )
-    );
-    println!(
-        "Model store: {} users leased, {} shared decisions, {} deltas materialized, \
-         peak {} resident copies.",
-        stats.users_leased,
-        stats.shared_decisions,
-        stats.deltas_materialized,
-        stats.peak_resident_copies,
-    );
-    println!(
-        "Memory: {:.0} B/user amortized vs {} KB full per-user copy ({:.2}% of a copy); \
-         peak resident {} KB.",
-        stats.bytes_per_user(),
-        stats.full_copy_bytes / 1024,
-        stats.copy_fraction_per_user() * 100.0,
-        stats.peak_resident_bytes() / 1024,
-    );
-    println!(
-        "Federation: {} merge rounds absorbed {} observations; base at version {}.\n",
-        stats.merge_rounds, stats.merged_samples, stats.base_version,
     );
 }
 
@@ -738,6 +663,7 @@ mod tests {
             (&["--metrics-out", "--obs-summary"][..], "--metrics-out needs a value"),
             (&["--prom-out"][..], "--prom-out needs a value"),
             (&["--frobnicate"][..], "unknown argument"),
+            (&["--personalize"][..], "unknown argument"),
         ] {
             let error = parse(args).expect_err("bad arguments are rejected");
             assert!(error.contains(needle), "{args:?}: {error}");

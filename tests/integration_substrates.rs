@@ -148,3 +148,40 @@ fn mixed_fleet_reports_per_substrate_governor_baselines() {
         }
     }
 }
+
+#[test]
+fn out_of_contract_noc_windows_are_rejected_at_decode() {
+    let jsonl = Trace::from_records(&mixed_report(1).records).to_jsonl();
+    let lines: Vec<&str> = jsonl.lines().collect();
+    let noc = lines.iter().position(|l| l.contains("\"kind\":\"noc\"")).expect("a NoC window");
+    let field = |name: &str| {
+        let start = lines[noc].find(&format!("\"{name}\":")).expect("field present");
+        let end = lines[noc][start..].find([',', '}']).expect("field ends") + start;
+        &lines[noc][start..end]
+    };
+    let with_line = |line: String| {
+        let mut edited = lines.clone();
+        edited[noc] = &line;
+        Trace::from_jsonl(&edited.join("\n"))
+    };
+    assert!(with_line(lines[noc].to_owned()).is_ok(), "the unedited trace decodes");
+
+    let rate = field("rate");
+    let mut bad = Vec::new();
+    for value in [0.0, -0.25, 1.5, f64::NAN, f64::INFINITY] {
+        bad.push(lines[noc].replacen(rate, &format!("\"rate\":{}", f64::to_bits(value)), 1));
+    }
+    bad.push(lines[noc].replacen(field("cycles"), "\"cycles\":0", 1));
+    let mesh_start = lines[noc].find("\"mesh\":[").expect("mesh present");
+    let mesh_end = lines[noc][mesh_start..].find(']').expect("mesh ends") + mesh_start + 1;
+    let mesh = &lines[noc][mesh_start..mesh_end];
+    bad.push(lines[noc].replacen(mesh, "\"mesh\":[0,4]", 1));
+    bad.push(lines[noc].replacen(mesh, "\"mesh\":[4,0]", 1));
+    for line in bad {
+        assert_ne!(line, lines[noc], "the edit must change the line");
+        assert!(
+            with_line(line.clone()).is_err(),
+            "decode accepted an out-of-contract window: {line}"
+        );
+    }
+}
