@@ -12,6 +12,27 @@
 //!
 //! The same model supports temperature prediction, steady-state (thermal fixed
 //! point) computation and sustainable power-budget queries.
+//!
+//! # Layout and allocation contract
+//!
+//! The network is discretised once, when the model is built: row `i` of one
+//! row-major buffer holds `a_i0 … a_i(n-1)` of `A`, then `step_s / c_i` and
+//! `g_i · T_amb`.  That buffer, the node descriptions and the coupling matrix
+//! never change, so they sit behind an [`Arc`] that clones of the model share.
+//! Each model owns one further buffer: the current temperatures followed by
+//! the scratch half that [`RcThermalModel::step`] writes the next state into.
+//! **A step allocates nothing**, and neither does [`RcThermalModel::reset`];
+//! cloning a model allocates that one buffer, and [`RcThermalModel::predict`]
+//! and [`RcThermalModel::simulate_constant_power`] allocate once per call.
+//!
+//! The per-step arithmetic is that of the textbook form above, operation for
+//! operation: `Σ_j a_ij·T_j` summed left to right from `-0.0` like
+//! `Iterator::sum`, then `+ (step_s / c_i)·(p_i + g_i·T_amb)`, with `A`
+//! built by exactly the expressions that form it.  Temperatures are therefore
+//! bit-identical to a model that rebuilds `A` every step, which the crate's
+//! equivalence tests keep as an oracle.
+
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -41,15 +62,26 @@ impl ThermalNode {
     }
 }
 
-/// Discrete-time lumped RC thermal model of the SoC and device skin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RcThermalModel {
+/// The immutable part of a thermal model: the network and its one-step
+/// discretisation.
+#[derive(Debug, PartialEq)]
+struct Network {
     nodes: Vec<ThermalNode>,
     /// Conductance between node pairs, `g[i][j]` in W/°C (symmetric, zero diagonal).
     coupling: Vec<Vec<f64>>,
     ambient_c: f64,
     step_s: f64,
-    temperatures: Vec<f64>,
+    /// Row `i` is `[a_i0, …, a_i(n-1), step_s / c_i, g_i · T_amb]`: stride `n + 2`.
+    rows: Vec<f64>,
+}
+
+/// Discrete-time lumped RC thermal model of the SoC and device skin.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RcThermalModel {
+    network: Arc<Network>,
+    /// The node temperatures, then as many scratch slots that `step` writes
+    /// the next state into; between calls both halves are equal.
+    state: Vec<f64>,
 }
 
 impl RcThermalModel {
@@ -59,6 +91,9 @@ impl RcThermalModel {
     ///
     /// Panics if the coupling matrix is not `n×n`, if the time step is not
     /// positive, or if `nodes` is empty.
+    // The i≠j cross-coupling structure reads most clearly with explicit
+    // matrix indices.
+    #[allow(clippy::needless_range_loop)]
     pub fn new(
         nodes: Vec<ThermalNode>,
         coupling: Vec<Vec<f64>>,
@@ -70,8 +105,22 @@ impl RcThermalModel {
         assert!(step_s > 0.0, "time step must be positive");
         assert_eq!(coupling.len(), n, "coupling matrix must be square");
         assert!(coupling.iter().all(|r| r.len() == n), "coupling matrix must be square");
-        let temperatures = vec![ambient_c; n];
-        Self { nodes, coupling, ambient_c, step_s, temperatures }
+        let mut rows = vec![0.0; n * (n + 2)];
+        for (i, row) in rows.chunks_exact_mut(n + 2).enumerate() {
+            let ci = nodes[i].capacitance;
+            let mut total_g = nodes[i].conductance_to_ambient;
+            for j in 0..n {
+                if i != j {
+                    total_g += coupling[i][j];
+                    row[j] = step_s * coupling[i][j] / ci;
+                }
+            }
+            row[i] = 1.0 - step_s * total_g / ci;
+            row[n] = step_s / ci;
+            row[n + 1] = nodes[i].conductance_to_ambient * ambient_c;
+        }
+        let network = Network { nodes, coupling, ambient_c, step_s, rows };
+        Self { network: Arc::new(network), state: vec![ambient_c; 2 * n] }
     }
 
     /// A four-node model (big, LITTLE, GPU, skin) calibrated to produce the
@@ -95,119 +144,77 @@ impl RcThermalModel {
 
     /// Node descriptions, in state order.
     pub fn nodes(&self) -> &[ThermalNode] {
-        &self.nodes
+        &self.network.nodes
     }
 
     /// Number of thermal nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.network.nodes.len()
     }
 
     /// Index of the node with the given name.
     pub fn node_index(&self, name: &str) -> Option<usize> {
-        self.nodes.iter().position(|n| n.name == name)
+        self.network.nodes.iter().position(|n| n.name == name)
     }
 
     /// Ambient temperature in °C.
     pub fn ambient_c(&self) -> f64 {
-        self.ambient_c
+        self.network.ambient_c
     }
 
     /// Discretisation step in seconds.
     pub fn step_s(&self) -> f64 {
-        self.step_s
+        self.network.step_s
     }
 
     /// Current node temperatures in °C.
     pub fn temperatures(&self) -> &[f64] {
-        &self.temperatures
+        &self.state[..self.node_count()]
     }
 
     /// Resets all node temperatures to ambient.
     pub fn reset(&mut self) {
-        for t in &mut self.temperatures {
-            *t = self.ambient_c;
-        }
-    }
-
-    /// The discrete state matrix `A` (temperature-to-temperature map over one step).
-    // The i≠j cross-coupling structure reads most clearly with explicit
-    // matrix indices.
-    #[allow(clippy::needless_range_loop)]
-    pub fn state_matrix(&self) -> Vec<Vec<f64>> {
-        let n = self.node_count();
-        let mut a = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            let ci = self.nodes[i].capacitance;
-            let mut total_g = self.nodes[i].conductance_to_ambient;
-            for j in 0..n {
-                if i != j {
-                    total_g += self.coupling[i][j];
-                    a[i][j] = self.step_s * self.coupling[i][j] / ci;
-                }
-            }
-            a[i][i] = 1.0 - self.step_s * total_g / ci;
-        }
-        a
-    }
-
-    /// The discrete input matrix `B` (power-to-temperature map over one step, diagonal).
-    pub fn input_matrix(&self) -> Vec<Vec<f64>> {
-        let n = self.node_count();
-        let mut b = vec![vec![0.0; n]; n];
-        for (i, row) in b.iter_mut().enumerate() {
-            row[i] = self.step_s / self.nodes[i].capacitance;
-        }
-        b
+        self.state.fill(self.network.ambient_c);
     }
 
     /// Advances the thermal state by one step under the given per-node power (W).
     ///
-    /// Returns the new temperature vector.
+    /// Returns the new temperatures.
     ///
     /// # Panics
     ///
     /// Panics if `power_w.len()` does not match the number of nodes.
-    pub fn step(&mut self, power_w: &[f64]) -> Vec<f64> {
-        assert_eq!(power_w.len(), self.node_count(), "one power entry per node required");
-        let a = self.state_matrix();
+    pub fn step(&mut self, power_w: &[f64]) -> &[f64] {
         let n = self.node_count();
-        let mut next = vec![0.0; n];
-        for i in 0..n {
-            let mut t: f64 =
-                a[i].iter().zip(&self.temperatures).map(|(aij, temp)| aij * temp).sum();
-            let total_g: f64 = self.nodes[i].conductance_to_ambient;
-            t += self.step_s / self.nodes[i].capacitance * (power_w[i] + total_g * self.ambient_c);
-            // Coupled terms already reference the other nodes' temperatures; what is
-            // left is pulling the "lost" self-coupling toward ambient only through the
-            // ambient conductance, which the formulation above already handles because
-            // a[i][i] subtracted the full conductance sum.
-            next[i] = t;
+        assert_eq!(power_w.len(), n, "one power entry per node required");
+        let (current, next) = self.state.split_at_mut(n);
+        for ((row, p), t) in self.network.rows.chunks_exact(n + 2).zip(power_w).zip(&mut *next) {
+            let (a, input) = row.split_at(n);
+            let coupled: f64 = a.iter().zip(&*current).map(|(aij, temp)| aij * temp).sum();
+            *t = coupled + input[0] * (p + input[1]);
         }
-        self.temperatures = next.clone();
-        next
+        current.copy_from_slice(next);
+        current
     }
 
     /// Simulates `steps` steps under constant power and returns the trajectory of
     /// the hottest node at every step.
     pub fn simulate_constant_power(&mut self, power_w: &[f64], steps: usize) -> Vec<f64> {
         (0..steps)
-            .map(|_| {
-                self.step(power_w);
-                self.temperatures.iter().cloned().fold(f64::MIN, f64::max)
-            })
+            .map(|_| self.step(power_w).iter().cloned().fold(f64::MIN, f64::max))
             .collect()
     }
 
     /// Predicts the temperature vector `horizon` steps ahead under constant power
     /// without mutating the model state.
     pub fn predict(&self, power_w: &[f64], horizon: usize) -> Vec<f64> {
-        let mut clone = self.clone();
-        let mut last = clone.temperatures().to_vec();
+        let mut ahead = self.clone();
         for _ in 0..horizon {
-            last = clone.step(power_w);
+            ahead.step(power_w);
         }
-        last
+        let mut temperatures = ahead.state;
+        temperatures.truncate(self.node_count());
+        temperatures
     }
 
     /// Steady-state temperatures under constant per-node power, i.e. the thermal
@@ -221,20 +228,21 @@ impl RcThermalModel {
         assert_eq!(power_w.len(), self.node_count(), "one power entry per node required");
         // Solve G_total · (T - T_amb·1) = P  in the continuous domain:
         // conductance matrix L where L[i][i] = g_amb_i + sum_j g_ij, L[i][j] = -g_ij.
-        let n = self.node_count();
+        let Network { nodes, coupling, ambient_c, .. } = &*self.network;
+        let n = nodes.len();
         let mut l = vec![vec![0.0; n]; n];
         for i in 0..n {
-            let mut diag = self.nodes[i].conductance_to_ambient;
+            let mut diag = nodes[i].conductance_to_ambient;
             for j in 0..n {
                 if i != j {
-                    diag += self.coupling[i][j];
-                    l[i][j] = -self.coupling[i][j];
+                    diag += coupling[i][j];
+                    l[i][j] = -coupling[i][j];
                 }
             }
             l[i][i] = diag;
         }
         let delta = linalg::solve(&l, power_w)?;
-        Some(delta.into_iter().map(|d| d + self.ambient_c).collect())
+        Some(delta.into_iter().map(|d| d + ambient_c).collect())
     }
 
     /// Maximum total power (uniformly scaled from the given power distribution)
@@ -251,11 +259,11 @@ impl RcThermalModel {
     ) -> Option<f64> {
         let idx = self.node_index(node)?;
         let base = self.steady_state(power_shape)?;
-        let rise = base[idx] - self.ambient_c;
+        let rise = base[idx] - self.ambient_c();
         if rise <= 0.0 {
             return Some(f64::INFINITY);
         }
-        let allowed_rise = (limit_c - self.ambient_c).max(0.0);
+        let allowed_rise = (limit_c - self.ambient_c()).max(0.0);
         let scale = allowed_rise / rise;
         Some(power_shape.iter().sum::<f64>() * scale)
     }

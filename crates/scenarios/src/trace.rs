@@ -583,7 +583,8 @@ pub struct ReplayReport {
 /// An exact-serving recording replays bit-identically; a quantised-serving
 /// recording (whose executions were served from bucketed sweeps) reports its
 /// first divergence instead, which is precisely how far quantisation bent the
-/// telemetry.
+/// telemetry.  A CPU decision at a configuration `platform` does not support
+/// is not executed and counts as a divergence.
 pub fn replay(scenario: &ScenarioTrace, platform: &SocPlatform) -> ReplayReport {
     let mut sim = SocSimulator::new(platform.clone());
     let mut gpu: Option<GpuReplayer> = None;
@@ -592,6 +593,7 @@ pub fn replay(scenario: &ScenarioTrace, platform: &SocPlatform) -> ReplayReport 
     let mut total_time_s = 0.0;
     for decision in &scenario.decisions {
         let matches = match decision {
+            SubstrateRecord::Cpu(d) if !platform.is_valid(d.config) => false,
             SubstrateRecord::Cpu(d) => {
                 let temps_match = sim.big_temperature_c().to_bits() == d.big_temp_c.to_bits()
                     && sim.little_temperature_c().to_bits() == d.little_temp_c.to_bits();

@@ -1,5 +1,7 @@
 //! Snippet execution model: time, energy, counters and thermal state.
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 use soclearn_power_thermal::thermal::RcThermalModel;
 use soclearn_workloads::SnippetProfile;
@@ -106,21 +108,36 @@ struct SnippetInvariants {
 /// The simulator is deterministic: executing the same snippet sequence at the
 /// same configurations always produces identical results, which keeps every
 /// experiment in the repository reproducible.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SocSimulator {
     platform: SocPlatform,
     thermal: RcThermalModel,
+    /// Thermal-node index of the big cluster.
+    big_node: usize,
+    /// Thermal-node index of the LITTLE cluster.
+    little_node: usize,
     total_energy_j: f64,
     total_time_s: f64,
     snippets_executed: usize,
 }
 
+/// The mobile-SoC thermal model at 25 °C ambient, discretised once per
+/// process: every simulator starts from a clone, which shares the
+/// discretisation instead of recomputing it.
+fn ambient_thermal_model() -> &'static RcThermalModel {
+    static MODEL: OnceLock<RcThermalModel> = OnceLock::new();
+    MODEL.get_or_init(|| RcThermalModel::mobile_soc(25.0))
+}
+
 impl SocSimulator {
     /// Creates a simulator for the given platform at 25 °C ambient.
     pub fn new(platform: SocPlatform) -> Self {
+        let thermal = ambient_thermal_model().clone();
         Self {
             platform,
-            thermal: RcThermalModel::mobile_soc(25.0),
+            big_node: thermal.node_index("big").expect("big node exists"),
+            little_node: thermal.node_index("little").expect("little node exists"),
+            thermal,
             total_energy_j: 0.0,
             total_time_s: 0.0,
             snippets_executed: 0,
@@ -149,12 +166,12 @@ impl SocSimulator {
 
     /// Current big-cluster temperature in °C.
     pub fn big_temperature_c(&self) -> f64 {
-        self.thermal.temperatures()[self.thermal.node_index("big").expect("big node exists")]
+        self.thermal.temperatures()[self.big_node]
     }
 
     /// Current LITTLE-cluster temperature in °C.
     pub fn little_temperature_c(&self) -> f64 {
-        self.thermal.temperatures()[self.thermal.node_index("little").expect("little node exists")]
+        self.thermal.temperatures()[self.little_node]
     }
 
     /// Resets accumulated energy, time and the thermal state.

@@ -76,6 +76,35 @@ fn trace_record_replay_round_trip_is_bit_identical() {
 }
 
 #[test]
+fn unsupported_cpu_configs_replay_as_divergences() {
+    let platform = SocPlatform::small();
+    let scenarios = ScenarioGenerator::standard(13, 6).scenarios(1);
+    let driver = ScenarioDriver::new(platform.clone(), 1);
+    let (_, records) = driver.run_recorded(&SliceSource::new(&scenarios), |_, _| {
+        Box::new(OndemandGovernor::new(&platform))
+    });
+    let jsonl = Trace::from_records(&records).to_jsonl();
+    let lines: Vec<&str> = jsonl.lines().collect();
+    let target = lines
+        .iter()
+        .position(|l| l.starts_with("{\"i\":2,\"kind\":\"cpu\""))
+        .expect("a third CPU decision");
+    for field in ["little", "big"] {
+        let start = lines[target].find(&format!("\"{field}\":")).expect("field present");
+        let end = lines[target][start..].find(',').expect("field ends") + start;
+        let mut edited = lines.clone();
+        let line =
+            lines[target].replacen(&lines[target][start..end], &format!("\"{field}\":1000"), 1);
+        edited[target] = &line;
+        let decoded = Trace::from_jsonl(&edited.join("\n")).expect("an index decodes");
+        let report = replay(&decoded.scenarios[0], &platform);
+        assert_eq!(report.first_divergence, Some(2), "{field} index out of range");
+        assert!(!report.bit_identical);
+        assert_eq!(report.decisions, 6);
+    }
+}
+
+#[test]
 fn streaming_driver_matches_the_materialised_path() {
     let platform = SocPlatform::small();
     let generator = std::sync::Arc::new(ScenarioGenerator::standard(5, 6));
